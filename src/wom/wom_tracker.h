@@ -15,6 +15,11 @@
 //   gen == t     : at the rewrite limit; the next write is the alpha-write,
 //                  which re-initializes the codeword and leaves it at gen 1.
 //
+// A line of a sectioned code (polar, time-space constrained) spans several
+// independently budgeted sections, but one generation still describes it:
+// every write programs the whole line, rows start uniform and refresh clears
+// whole rows, so all sections of a line always share one generation.
+//
 // Rows are tracked lazily in a hash map keyed by a flat row id.
 #pragma once
 
@@ -45,14 +50,6 @@ class WomStateTracker {
 
   // Records a demand write to line `line` of `row` and returns its class.
   WriteRecord record_write(RowKey row, unsigned line);
-
-  // Records a demand write touching lines [first, first + count) of `row`
-  // at once — the sectioned-codec form, where one burst line spans several
-  // independently budgeted sections. Each section advances (or alpha
-  // re-initializes) on its own, the write counts once, and the combined
-  // class is RESET-only iff every touched section's was (cold if any
-  // section was never touched). count == 1 is exactly record_write.
-  WriteRecord record_write_range(RowKey row, unsigned first, unsigned count);
 
   // Classifies what the next write to (row, line) would be, without
   // recording it.

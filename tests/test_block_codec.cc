@@ -1,10 +1,15 @@
 // Tests for the sectioned streaming codec layer: bit-identity of the
 // sectioned PageCodec against a whole-page reference loop over every
-// registered code, section independence, the per-section alpha
-// classification edges in WomStateTracker, and the properties of the new
-// first-class families (polar, time-space constrained).
+// registered code, section independence, per-line generation tracking of
+// sectioned lines against a per-section reference model, and the
+// properties of the new first-class families (polar, time-space
+// constrained).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -205,70 +210,201 @@ TEST_P(SectionIndependence, WritingOneSectionLeavesOthersUntouched) {
 INSTANTIATE_TEST_SUITE_P(AllBlockCodecs, SectionIndependence,
                          ::testing::ValuesIn(known_block_codec_names()));
 
-// --- Per-section alpha classification edges (record_write_range) ---
+// --- Per-line tracking of sectioned lines ---
+
+// The historical per-section generation tracker: one slot per section, a
+// line write advancing (or alpha re-initializing) each of the line's
+// sections on its own, counted once and classed RESET-only iff every
+// touched section's was (cold if any section was never touched). The
+// simulator now keeps one generation per line; these tests drive both
+// with whole-line writes and row refreshes — the only operations the
+// simulator issues — and require identical answers.
+class ReferenceSectionTracker {
+ public:
+  ReferenceSectionTracker(unsigned max_writes, unsigned sections_per_row,
+                          bool erased_start = false)
+      : t_(max_writes),
+        sections_(sections_per_row),
+        erased_start_(erased_start) {}
+
+  WomStateTracker::WriteRecord record_write_range(RowKey row, unsigned first,
+                                                  unsigned count) {
+    ++writes_;
+    Row& r = row_state(row);
+    WomStateTracker::WriteRecord rec;
+    for (unsigned l = first; l < first + count; ++l) {
+      std::uint8_t& g = r.gens[l];
+      if (g == WomStateTracker::kUnknownGen || g == t_) {
+        rec.cls = WriteClass::kAlpha;
+        if (g == WomStateTracker::kUnknownGen) {
+          rec.cold = true;
+        } else {
+          --r.at_limit;
+        }
+        g = 1;
+        if (t_ == 1) ++r.at_limit;
+      } else {
+        ++g;
+        if (g == t_) ++r.at_limit;
+      }
+    }
+    if (rec.cls == WriteClass::kAlpha) {
+      ++alpha_writes_;
+      if (rec.cold) ++cold_alpha_writes_;
+    }
+    return rec;
+  }
+
+  bool row_has_limit_lines(RowKey row) const {
+    const auto it = rows_.find(row);
+    return it != rows_.end() && it->second.at_limit > 0;
+  }
+
+  bool refresh(RowKey row) {
+    const auto it = rows_.find(row);
+    if (it == rows_.end()) return false;
+    const bool useful = it->second.at_limit > 0;
+    std::fill(it->second.gens.begin(), it->second.gens.end(), 0);
+    it->second.at_limit = 0;
+    return useful;
+  }
+
+  unsigned generation(RowKey row, unsigned section) const {
+    const auto it = rows_.find(row);
+    if (it == rows_.end()) {
+      return erased_start_ ? 0 : WomStateTracker::kUnknownGen;
+    }
+    return it->second.gens[section];
+  }
+
+  std::uint64_t writes() const { return writes_; }
+  std::uint64_t alpha_writes() const { return alpha_writes_; }
+  std::uint64_t cold_alpha_writes() const { return cold_alpha_writes_; }
+
+ private:
+  struct Row {
+    std::vector<std::uint8_t> gens;
+    unsigned at_limit = 0;
+  };
+  Row& row_state(RowKey row) {
+    auto [it, fresh] = rows_.try_emplace(row);
+    if (fresh) {
+      it->second.gens.assign(
+          sections_, static_cast<std::uint8_t>(
+                         erased_start_ ? 0 : WomStateTracker::kUnknownGen));
+    }
+    return it->second;
+  }
+
+  unsigned t_;
+  unsigned sections_;
+  bool erased_start_;
+  std::map<RowKey, Row> rows_;
+  std::uint64_t writes_ = 0;
+  std::uint64_t alpha_writes_ = 0;
+  std::uint64_t cold_alpha_writes_ = 0;
+};
+
+struct TrackerCase {
+  unsigned spl;
+  unsigned t;
+  bool erased_start;
+};
+
+class PerLineTracking : public ::testing::TestWithParam<TrackerCase> {};
+
+TEST_P(PerLineTracking, MatchesPerSectionReferenceModel) {
+  const TrackerCase c = GetParam();
+  constexpr unsigned kLines = 8;
+  constexpr RowKey kRows = 6;
+  WomStateTracker line_tracker(c.t, kLines, c.erased_start);
+  ReferenceSectionTracker ref(c.t, kLines * c.spl, c.erased_start);
+  Rng rng(1000 + c.spl * 31 + c.t * 7 + (c.erased_start ? 1 : 0));
+  for (int op = 0; op < 4000; ++op) {
+    const RowKey row = rng.next_below(kRows);
+    SCOPED_TRACE("op " + std::to_string(op));
+    if (rng.next_below(16) == 0) {
+      EXPECT_EQ(line_tracker.refresh(row), ref.refresh(row));
+    } else {
+      const auto line = static_cast<unsigned>(rng.next_below(kLines));
+      const auto got = line_tracker.record_write(row, line);
+      const auto want = ref.record_write_range(row, line * c.spl, c.spl);
+      ASSERT_EQ(got.cls, want.cls);
+      ASSERT_EQ(got.cold, want.cold);
+      // Every section of the line holds the line's generation.
+      for (unsigned s = 0; s < c.spl; ++s) {
+        ASSERT_EQ(ref.generation(row, line * c.spl + s),
+                  line_tracker.generation(row, line));
+      }
+    }
+    ASSERT_EQ(line_tracker.row_has_limit_lines(row),
+              ref.row_has_limit_lines(row));
+    ASSERT_EQ(line_tracker.writes(), ref.writes());
+    ASSERT_EQ(line_tracker.alpha_writes(), ref.alpha_writes());
+    ASSERT_EQ(line_tracker.cold_alpha_writes(), ref.cold_alpha_writes());
+  }
+  EXPECT_GT(line_tracker.alpha_writes(), 0u);
+  EXPECT_GT(line_tracker.writes(), line_tracker.alpha_writes());
+}
+
+std::vector<TrackerCase> tracker_cases() {
+  std::vector<TrackerCase> cases;
+  for (const unsigned spl : {16u, 64u}) {
+    for (const unsigned t : {1u, 2u, 8u}) {
+      for (const bool erased : {false, true}) cases.push_back({spl, t, erased});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SectionsWritesStart, PerLineTracking, ::testing::ValuesIn(tracker_cases()),
+    [](const ::testing::TestParamInfo<TrackerCase>& info) {
+      return "spl" + std::to_string(info.param.spl) + "_t" +
+             std::to_string(info.param.t) +
+             (info.param.erased_start ? "_erased" : "_unknown");
+    });
+
+// Classing edges of a whole-line write, checked on the per-section
+// reference model and the per-line tracker alike (4 sections per line).
 
 TEST(RecordWriteRange, ColdThenFastThenAlphaOverWholeRange) {
-  WomStateTracker t(/*max_writes=*/2, /*lines_per_row=*/8);
-  // 4 sections per line, line 0 -> sections [0, 4).
-  auto r = t.record_write_range(7, 0, 4);
-  EXPECT_EQ(r.cls, WriteClass::kAlpha);  // all sections unknown
-  EXPECT_TRUE(r.cold);
-  EXPECT_EQ(t.writes(), 1u);             // one page write, not four
-  EXPECT_EQ(t.alpha_writes(), 1u);
-  EXPECT_EQ(t.cold_alpha_writes(), 1u);
-
-  r = t.record_write_range(7, 0, 4);
-  EXPECT_EQ(r.cls, WriteClass::kResetOnly);  // every section in budget
-  EXPECT_FALSE(r.cold);
-
-  r = t.record_write_range(7, 0, 4);
-  EXPECT_EQ(r.cls, WriteClass::kAlpha);  // every section at t = 2
-  EXPECT_FALSE(r.cold);
+  ReferenceSectionTracker ref(/*max_writes=*/2, /*sections_per_row=*/8);
+  WomStateTracker t(/*max_writes=*/2, /*lines_per_row=*/2);
+  const WriteClass want[] = {WriteClass::kAlpha, WriteClass::kResetOnly,
+                             WriteClass::kAlpha};
+  for (int i = 0; i < 3; ++i) {
+    const auto r = ref.record_write_range(7, 0, 4);
+    const auto l = t.record_write(7, 0);
+    EXPECT_EQ(r.cls, want[i]) << i;
+    EXPECT_EQ(l.cls, want[i]) << i;
+    EXPECT_EQ(r.cold, i == 0) << i;  // only the first write finds unknowns
+    EXPECT_EQ(l.cold, i == 0) << i;
+  }
+  EXPECT_EQ(ref.writes(), 3u);  // one count per line write, not per section
   EXPECT_EQ(t.writes(), 3u);
+  EXPECT_EQ(ref.alpha_writes(), 2u);
   EXPECT_EQ(t.alpha_writes(), 2u);
+  EXPECT_EQ(ref.cold_alpha_writes(), 1u);
   EXPECT_EQ(t.cold_alpha_writes(), 1u);
-}
-
-TEST(RecordWriteRange, OneExhaustedSectionMakesThePageWriteAlpha) {
-  WomStateTracker t(/*max_writes=*/2, /*lines_per_row=*/8);
-  t.record_write_range(3, 4, 4);  // line 1: cold alpha, gens -> 1
-  // Drive section 5 alone to its limit through the single-line entry point.
-  t.record_write(3, 5);  // gen 2 == t
-  EXPECT_TRUE(t.row_has_limit_lines(3));
-  // The next full-line write is alpha (partial per-section re-init) even
-  // though sections 4, 6, 7 still have budget — but NOT cold.
-  const auto r = t.record_write_range(3, 4, 4);
-  EXPECT_EQ(r.cls, WriteClass::kAlpha);
-  EXPECT_FALSE(r.cold);
-  // Only section 5 re-initialized (gen back to 1); the rest advanced to 2.
-  EXPECT_EQ(t.generation(3, 5), 1u);
-  EXPECT_EQ(t.generation(3, 4), 2u);
-  EXPECT_EQ(t.generation(3, 6), 2u);
-}
-
-TEST(RecordWriteRange, OneUnknownSectionMakesThePageWriteColdAlpha) {
-  WomStateTracker t(/*max_writes=*/4, /*lines_per_row=*/4);
-  t.record_write(11, 0);
-  t.record_write(11, 1);
-  t.record_write(11, 2);
-  // Section 3 has never been touched: the range write is a cold alpha.
-  const auto r = t.record_write_range(11, 0, 4);
-  EXPECT_EQ(r.cls, WriteClass::kAlpha);
-  EXPECT_TRUE(r.cold);
-  EXPECT_EQ(t.generation(11, 3), 1u);
-  EXPECT_EQ(t.generation(11, 0), 2u);
 }
 
 TEST(RecordWriteRange, ErasedStartIsResetOnly) {
-  WomStateTracker t(/*max_writes=*/8, /*lines_per_row=*/8,
+  ReferenceSectionTracker ref(/*max_writes=*/8, /*sections_per_row=*/8,
+                              /*erased_start=*/true);
+  WomStateTracker t(/*max_writes=*/8, /*lines_per_row=*/1,
                     /*erased_start=*/true);
-  const auto r = t.record_write_range(0, 0, 8);
+  const auto r = ref.record_write_range(0, 0, 8);
+  const auto l = t.record_write(0, 0);
   EXPECT_EQ(r.cls, WriteClass::kResetOnly);
+  EXPECT_EQ(l.cls, WriteClass::kResetOnly);
   EXPECT_FALSE(r.cold);
+  EXPECT_FALSE(l.cold);
 }
 
 TEST(RecordWriteRange, SingleSectionDelegatesToRecordWrite) {
-  WomStateTracker a(2, 8), b(2, 8);
+  ReferenceSectionTracker a(2, 8);
+  WomStateTracker b(2, 8);
   for (int i = 0; i < 5; ++i) {
     const auto ra = a.record_write_range(1, 3, 1);
     const auto rb = b.record_write(1, 3);
@@ -281,12 +417,18 @@ TEST(RecordWriteRange, SingleSectionDelegatesToRecordWrite) {
 }
 
 TEST(RecordWriteRange, RefreshRestoresTheWholeRange) {
-  WomStateTracker t(/*max_writes=*/1, /*lines_per_row=*/4);
-  t.record_write_range(5, 0, 4);  // t = 1: immediately at limit
+  ReferenceSectionTracker ref(/*max_writes=*/1, /*sections_per_row=*/4);
+  WomStateTracker t(/*max_writes=*/1, /*lines_per_row=*/1);
+  ref.record_write_range(5, 0, 4);  // t = 1: immediately at limit
+  t.record_write(5, 0);
+  EXPECT_TRUE(ref.row_has_limit_lines(5));
   EXPECT_TRUE(t.row_has_limit_lines(5));
+  EXPECT_TRUE(ref.refresh(5));
   EXPECT_TRUE(t.refresh(5));
+  EXPECT_FALSE(ref.row_has_limit_lines(5));
   EXPECT_FALSE(t.row_has_limit_lines(5));
-  EXPECT_EQ(t.record_write_range(5, 0, 4).cls, WriteClass::kResetOnly);
+  EXPECT_EQ(ref.record_write_range(5, 0, 4).cls, WriteClass::kResetOnly);
+  EXPECT_EQ(t.record_write(5, 0).cls, WriteClass::kResetOnly);
 }
 
 // --- Polar family properties ---
