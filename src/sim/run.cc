@@ -92,6 +92,7 @@ SimConfig resolved_config(const RunRequest& req) {
 
 SimResult run(const RunRequest& req) {
   SimConfig cfg = resolved_config(req);
+  validate_config(cfg);
   const std::uint64_t accesses = req.trace.accesses();
   if (accesses > 0) {
     if (!cfg.warmup_accesses.has_value()) {

@@ -1,8 +1,29 @@
 #include "sim/simulator.h"
 
+#include <stdexcept>
+
 #include "sim/service.h"
 
 namespace wompcm {
+
+void validate_config(const SimConfig& cfg) {
+  std::string why;
+  if (!cfg.geom.valid(&why)) {
+    throw std::invalid_argument("bad geometry: " + why);
+  }
+  if (!cfg.timing.valid(&why)) {
+    throw std::invalid_argument("bad timing: " + why);
+  }
+  if (!cfg.sched.valid(&why)) {
+    throw std::invalid_argument("bad scheduler config: " + why);
+  }
+  if (cfg.queue_capacity == 0) {
+    throw std::invalid_argument("queue_capacity must be at least 1");
+  }
+  if (cfg.injection_block == 0) {
+    throw std::invalid_argument("injection_block must be at least 1");
+  }
+}
 
 Simulator::Simulator(const SimConfig& cfg) : cfg_(cfg) {}
 

@@ -47,7 +47,7 @@ struct SimConfig {
   // Purely a host-side throughput knob: any value >= 1 produces the
   // bit-identical injection sequence, larger blocks just amortize more of
   // the per-record front-end overhead (virtual fetch, address decode,
-  // phase timing). 0 is treated as 1.
+  // phase timing).
   unsigned injection_block = 64;
   // Optional DRAM-timing tier fronting the PCM backend (pcm/tier_spec.h).
   // Disabled by default; a disabled tier leaves runs bit-identical to a
@@ -59,6 +59,12 @@ struct SimConfig {
   // length; a raw Simulator or SimService treats it as zero.
   std::optional<std::uint64_t> warmup_accesses;
 };
+
+// Throws std::invalid_argument when `cfg` cannot be simulated: the
+// geometry, timing and scheduler checks, plus queue_capacity >= 1 (0 would
+// never accept an arrival) and injection_block >= 1. SimService and run()
+// call it before anything divides by a geometry field.
+void validate_config(const SimConfig& cfg);
 
 struct SimResult {
   std::string arch_name;

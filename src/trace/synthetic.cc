@@ -34,12 +34,24 @@ bool WorkloadProfile::valid(std::string* why) const {
   return true;
 }
 
+namespace {
+
+// The mapper and the line sampler divide by geometry fields, so a bad
+// geometry must be rejected before either is built.
+const MemoryGeometry& checked(const MemoryGeometry& geom) {
+  std::string why;
+  if (!geom.valid(&why)) throw std::invalid_argument("bad geometry: " + why);
+  return geom;
+}
+
+}  // namespace
+
 SyntheticTraceSource::SyntheticTraceSource(const WorkloadProfile& profile,
                                            const MemoryGeometry& geom,
                                            std::uint64_t seed,
                                            std::uint64_t num_accesses)
     : profile_(profile),
-      mapper_(geom),
+      mapper_(checked(geom)),
       rng_(seed),
       placement_salt_(seed * 0x9e3779b97f4a7c15ULL + 0x1234567),
       write_pages_(profile.footprint_pages, profile.write_zipf),

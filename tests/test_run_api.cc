@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "womcode.h"
@@ -152,6 +153,54 @@ TEST(RunApi, MissingTraceFileThrows) {
   EXPECT_THROW(
       run({small_config(), TraceSpec::file("/nonexistent/nope.trace")}),
       std::runtime_error);
+}
+
+// Robustness probes: each of these womd arguments used to crash with
+// SIGFPE (burst/devices/bits_per_col = 0: a trace source or the backend
+// divided by the field before the geometry was checked), hang
+// (queue_capacity = 0: no queue ever accepts an arrival) or be accepted
+// silently (injection_block = 0). run() and SimService now reject each up
+// front, with a message that names the problem.
+void expect_rejected(const std::string& token, const std::string& needle) {
+  const SimConfig cfg =
+      apply_overrides(small_config(), KeyValueConfig::from_tokens({token}));
+  try {
+    run({cfg, TraceSpec::benchmark("401.bzip2", 500),
+         RunOptions::with_seed(1)});
+    ADD_FAILURE() << "run() accepted " << token;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << token << ": " << e.what();
+  }
+  EXPECT_THROW({ SimService svc(cfg); }, std::invalid_argument) << token;
+}
+
+void expect_geometry_rejected(const std::string& token) {
+  expect_rejected(token, "bad geometry");
+  const SimConfig cfg =
+      apply_overrides(small_config(), KeyValueConfig::from_tokens({token}));
+  EXPECT_THROW(SyntheticTraceSource(*find_profile("401.bzip2"), cfg.geom, 1,
+                                    100),
+               std::invalid_argument)
+      << token;
+}
+
+TEST(RunApiProbes, BurstZeroIsRejected) { expect_geometry_rejected("burst=0"); }
+
+TEST(RunApiProbes, DevicesZeroIsRejected) {
+  expect_geometry_rejected("devices=0");
+}
+
+TEST(RunApiProbes, BitsPerColZeroIsRejected) {
+  expect_geometry_rejected("bits_per_col=0");
+}
+
+TEST(RunApiProbes, QueueCapacityZeroIsRejected) {
+  expect_rejected("queue_capacity=0", "queue_capacity");
+}
+
+TEST(RunApiProbes, InjectionBlockZeroIsRejected) {
+  expect_rejected("injection_block=0", "injection_block");
 }
 
 TEST(RunSweep, MatchesPerCellRuns) {

@@ -123,6 +123,12 @@ int main(int argc, char** argv) {
                           {"traces", "profiles", "accesses", "seed", "jobs",
                            "chunk", "config"});
 
+    // The service validates the config before any trace source divides by
+    // its geometry.
+    ServiceOptions opts;
+    opts.jobs = jobs;
+    SimService svc(cfg, opts);
+
     // One feed per stream: trace files first, then profile streams, in
     // the order given — that order is the merge tie-break.
     struct Feed {
@@ -161,9 +167,6 @@ int main(int argc, char** argv) {
                 feeds.size(), cfg.geom.channels, to_string(cfg.arch.kind),
                 jobs, chunk);
 
-    ServiceOptions opts;
-    opts.jobs = jobs;
-    SimService svc(cfg, opts);
     for (Feed& fd : feeds) {
       StreamSpec spec;
       spec.name = fd.label;
