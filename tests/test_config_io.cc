@@ -3,6 +3,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "sim/config_io.h"
 #include "sim/experiment.h"
@@ -35,6 +37,43 @@ TEST(ConfigIo, ArchitectureSelection) {
            {"symmetric", ArchKind::kSymmetric}}) {
     const auto kv = KeyValueConfig::from_tokens({"arch=" + name});
     EXPECT_EQ(apply_overrides(paper_config(), kv).arch.kind, kind) << name;
+  }
+}
+
+// Results print to_string(ArchKind) ("pcm-refresh", "flip-n-write", ...);
+// every printed name must parse back to its kind, and describe() must
+// write a name that parses back too.
+TEST(ConfigIo, PrintedArchNamesParseBack) {
+  for (int k = 0; k <= static_cast<int>(ArchKind::kSymmetric); ++k) {
+    const auto kind = static_cast<ArchKind>(k);
+    const std::string printed = to_string(kind);
+    const SimConfig cfg = apply_overrides(
+        paper_config(), KeyValueConfig::from_tokens({"arch=" + printed}));
+    EXPECT_EQ(cfg.arch.kind, kind) << printed;
+
+    const std::string text = describe(cfg);
+    const std::size_t at = text.find("\narch=");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line =
+        text.substr(at + 1, text.find('\n', at + 1) - at - 1);
+    EXPECT_EQ(apply_overrides(paper_config(),
+                              KeyValueConfig::from_tokens({line}))
+                  .arch.kind,
+              kind)
+        << line;
+  }
+}
+
+TEST(ConfigIo, BadArchListsTheValidNames) {
+  try {
+    apply_overrides(paper_config(), KeyValueConfig::from_tokens({"arch=dram"}));
+    FAIL() << "arch=dram was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    for (const char* name : {"pcm", "refresh", "pcm-refresh", "wcpcm", "fnw",
+                             "flip-n-write", "symmetric-ideal"}) {
+      EXPECT_NE(msg.find(name), std::string::npos) << name << ": " << msg;
+    }
   }
 }
 
