@@ -29,6 +29,13 @@ std::unique_ptr<MixTraceSource> build_mix(
   return std::make_unique<MixTraceSource>(std::move(parts));
 }
 
+// "b<i>": the argument naming core i's benchmark.
+std::string core_key(std::size_t i) {
+  std::string key = "b";
+  key += std::to_string(i);
+  return key;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -44,7 +51,7 @@ int main(int argc, char** argv) {
   std::vector<WorkloadProfile> mix;
   for (std::size_t i = 0; i < cores; ++i) {
     const std::string name = args.get_string_or(
-        "b" + std::to_string(i), defaults[i % std::size(defaults)]);
+        core_key(i), defaults[i % std::size(defaults)]);
     const auto p = find_profile(name);
     if (!p) {
       std::printf("unknown benchmark %s\n", name.c_str());
@@ -66,7 +73,7 @@ int main(int argc, char** argv) {
   double base_w = 0, base_r = 0;
   std::vector<std::string> harness_keys = {"cores", "accesses", "seed"};
   for (std::size_t i = 0; i < cores; ++i) {
-    harness_keys.push_back("b" + std::to_string(i));
+    harness_keys.push_back(core_key(i));
   }
   for (const ArchKind kind : kinds) {
     SimConfig cfg = apply_overrides(paper_config(), args, harness_keys);

@@ -190,7 +190,6 @@ class WomCoding final : public CodingPolicy {
   }
   const WomCode* code() const override { return code_.get(); }
   const std::string& code_name() const { return name_; }
-  const WomStateTracker& tracker() const { return tracker_; }
 
   WriteBegin begin_write(std::uint64_t track_key, unsigned line,
                          IssuePlan* p) override {

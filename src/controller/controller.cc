@@ -71,10 +71,6 @@ MemoryController::MemoryController(const ControllerConfig& cfg,
   }
 }
 
-bool MemoryController::can_accept() const {
-  return read_q_.size() + write_q_.size() < cfg_.queue_capacity;
-}
-
 void MemoryController::note_queue_depth() {
   const std::size_t depth =
       read_q_.size() + write_q_.size() + internal_q_.size();
@@ -485,6 +481,20 @@ Tick MemoryController::next_event_after(Tick now) {
   if (next_event_ != kNeverTick && next_event_ > now) return next_event_;
   next_event_ = events_.next_after(now);
   return next_event_;
+}
+
+Tick MemoryController::run_window(const Transaction* arrivals, std::size_t n,
+                                  Tick from, Tick until) {
+  Tick prev = from;
+  std::size_t i = 0;
+  for (;;) {
+    Tick t = next_event_after(prev);
+    if (i < n) t = earliest(t, arrivals[i].arrival);
+    if (t >= until) return prev;
+    for (; i < n && arrivals[i].arrival == t; ++i) enqueue(arrivals[i]);
+    if (next_event_ <= t) tick(t);
+    prev = t;
+  }
 }
 
 void MemoryController::publish_metrics(MetricsRegistry& reg) const {

@@ -81,7 +81,17 @@ class MemoryController {
                    SimStats& stats);
 
   // Frontend back-pressure: false when the demand queues are full.
-  bool can_accept() const;
+  bool can_accept() const { return free_slots() > 0; }
+  // Demand transactions the queues take before can_accept() turns false.
+  // Only enqueue() consumes a slot, and at most one per transaction: tier
+  // hits and forwarded reads take none, and write-backs go to the internal
+  // queue.
+  unsigned free_slots() const {
+    const std::size_t used = read_q_.size() + write_q_.size();
+    return used < cfg_.queue_capacity
+               ? static_cast<unsigned>(cfg_.queue_capacity - used)
+               : 0;
+  }
 
   // Hands a demand transaction to the controller. tx.arrival is the
   // enqueue time and must not precede the latest tick; tx.dec.channel must
@@ -94,6 +104,18 @@ class MemoryController {
   // Earliest future time at which tick() could make progress, or
   // kNeverTick if the controller is fully drained and quiescent.
   Tick next_event_after(Tick now);
+
+  // Runs this channel alone through every instant in (from, until): each
+  // is the earlier of the next of `arrivals` (this channel's, in merge
+  // order) and the next own event; the arrivals due there are enqueued,
+  // then the channel ticks if anything is due — what the system loop does
+  // to this channel at that instant. (In reference scan mode the system
+  // loop also ticks channels with nothing due; such a tick changes no
+  // result.) The caller guarantees every arrival lies in (from, until)
+  // and fits in free_slots(). Returns the last instant run (`from` if
+  // none).
+  Tick run_window(const Transaction* arrivals, std::size_t n, Tick from,
+                  Tick until);
 
   // Cached earliest scheduled event (may be at or before the current
   // instant when work is due). The memory system uses this to dispatch

@@ -1,5 +1,7 @@
 #include "sim/backend.h"
 
+#include <algorithm>
+
 #include "sim/memory_system.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
@@ -24,11 +26,24 @@ class SerialBackend final : public SimBackend {
   bool can_accept(const DecodedAddr& dec) const override {
     return mem_.can_accept(dec);
   }
+  unsigned free_slots(unsigned channel) const override {
+    return mem_.channel(channel).free_slots();
+  }
   void enqueue(const Transaction& tx) override { mem_.enqueue(tx); }
   Tick next_event_after(Tick now) override {
     return mem_.next_event_after(now);
   }
   void tick(Tick now) override { mem_.tick(now); }
+  Tick run_window(const std::vector<std::vector<Transaction>>& arrivals,
+                  Tick from, Tick until) override {
+    Tick last = from;
+    for (unsigned c = 0; c < mem_.num_channels(); ++c) {
+      last = std::max(last, mem_.channel(c).run_window(arrivals[c].data(),
+                                                       arrivals[c].size(),
+                                                       from, until));
+    }
+    return last;
+  }
   bool drained() const override { return mem_.drained(); }
   Tick last_completion() const override { return mem_.last_completion(); }
 
@@ -74,9 +89,13 @@ class SerialBackend final : public SimBackend {
 
 }  // namespace
 
+bool shards(const SimConfig& cfg, unsigned jobs) {
+  return jobs > 1 && cfg.geom.channels > 1;
+}
+
 std::unique_ptr<SimBackend> make_backend(const SimConfig& cfg,
                                          unsigned jobs) {
-  if (jobs > 1 && cfg.geom.channels > 1) {
+  if (shards(cfg, jobs)) {
     return std::make_unique<ShardedBackend>(cfg, jobs);
   }
   return std::make_unique<SerialBackend>(cfg);

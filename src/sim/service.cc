@@ -21,11 +21,20 @@ const SimConfig& validated(const SimConfig& cfg) {
 SimService::SimService(const SimConfig& cfg, ServiceOptions opts)
     : cfg_(validated(cfg)),
       backend_(make_backend(cfg, opts.jobs)),
+      windows_(shards(cfg, opts.jobs)),
       mapper_(cfg.geom),
       warmup_(cfg.warmup_accesses.value_or(0)),
       deferred_(cfg.geom.channels, 0),
       codec_ns_start_(perf::codec_ns()),
-      start_ns_(perf::now_ns()) {}
+      start_ns_(perf::now_ns()) {
+  if (windows_) {
+    window_arrivals_.resize(cfg.geom.channels);
+    for (std::vector<Transaction>& v : window_arrivals_) {
+      v.reserve(cfg.queue_capacity);
+    }
+    window_slots_.resize(cfg.geom.channels);
+  }
+}
 
 SimService::~SimService() = default;
 
@@ -53,7 +62,12 @@ SessionId SimService::open_session(StreamSpec spec) {
   require_live("open_session");
   const SessionId id = static_cast<SessionId>(sessions_.size());
   Session s;
-  s.name = spec.name.empty() ? "s" + std::to_string(id) : std::move(spec.name);
+  if (spec.name.empty()) {
+    s.name = "s";
+    s.name += std::to_string(id);
+  } else {
+    s.name = std::move(spec.name);
+  }
   // A stream opened mid-run joins at the current instant: its clock is a
   // lower bound on future arrivals, and the merge may already have sealed
   // everything before now().
@@ -135,6 +149,25 @@ Tick SimService::unknown_frontier() const {
   return t;
 }
 
+Transaction SimService::take(std::size_t si) {
+  Session& s = sessions_[si];
+  Transaction tx = s.front();
+  s.pop();
+  tx.id = next_id_++;
+  // Warmup semantics: the budget counts transactions, reads and writes
+  // jointly, in merge order — the first `warmup` accesses of either kind
+  // run unrecorded to reach steady state.
+  tx.record = tx.id > warmup_;
+  if (tx.type == AccessType::kRead) {
+    ++injected_reads_;
+    ++s.injected_reads;
+  } else {
+    ++injected_writes_;
+    ++s.injected_writes;
+  }
+  return tx;
+}
+
 void SimService::inject_due(Tick now) {
   for (;;) {
     std::size_t si = 0;
@@ -147,35 +180,97 @@ void SimService::inject_due(Tick now) {
     if (head->arrival >= unknown_frontier()) return;
     if (!backend_->can_accept(head->dec)) return;
 
-    Session& s = sessions_[si];
-    Transaction tx = *head;
-    s.pop();
-    tx.id = next_id_++;
-    // Warmup semantics: the budget counts transactions, reads and writes
-    // jointly, in merge order — the first `warmup` accesses of either
-    // kind run unrecorded to reach steady state.
-    tx.record = tx.id > warmup_;
+    Transaction tx = take(si);
     // An arrival held back by back-pressure is timestamped with its
     // actual acceptance time (the CPU stalled; memory latency starts when
     // the controller sees the request).
     if (tx.arrival < now) {
       ++deferred_[tx.dec.channel];
-      ++s.deferred;
+      ++sessions_[si].deferred;
       tx.arrival = now;
-    }
-    if (tx.type == AccessType::kRead) {
-      ++injected_reads_;
-      ++s.injected_reads;
-    } else {
-      ++injected_writes_;
-      ++s.injected_writes;
     }
     backend_->enqueue(tx);
   }
 }
 
+bool SimService::run_window() {
+  const Tick now = clock_.now();
+  // A head at or before now() was deferred by back-pressure (or is due
+  // again at this very instant): the per-instant pump owns it.
+  std::size_t si = 0;
+  const Transaction* head = peek_head(&si);
+  if (head != nullptr && head->arrival <= now) return false;
+
+  // Every instant before the earliest open session clock is sealed, and no
+  // arrival before it can empty an open session (its last buffered record
+  // arrives at its clock). Closed sessions never gate.
+  Tick until = kNeverTick;
+  bool all_closed = true;
+  for (const Session& s : sessions_) {
+    if (!s.open) continue;
+    all_closed = false;
+    until = std::min(until, s.clock);
+  }
+
+  // Pass 1: walk the merge without popping, charging each arrival to its
+  // channel's free slots (counted once, here: each arrival takes at most
+  // one, and nothing the window skips could free one it relies on). The
+  // first arrival that finds no slot ends the window at its arrival.
+  for (unsigned c = 0; c < window_slots_.size(); ++c) {
+    window_slots_[c] = backend_->free_slots(c);
+  }
+  window_cursor_.assign(sessions_.size(), 0);
+  for (;;) {
+    const Transaction* next = nullptr;
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+      const Session& s = sessions_[i];
+      if (window_cursor_[i] == s.count) continue;
+      const Transaction& tx = s.at(window_cursor_[i]);
+      // Strict < ties to the lower session id, as in peek_head().
+      if (next == nullptr || tx.arrival < next->arrival) {
+        next = &tx;
+        si = i;
+      }
+    }
+    if (next == nullptr || next->arrival >= until) break;
+    unsigned& slots = window_slots_[next->dec.channel];
+    if (slots == 0) {
+      until = next->arrival;
+      break;
+    }
+    --slots;
+    ++window_cursor_[si];
+  }
+
+  // Pass 2: take every arrival before `until`, in merge order. (Pass 1 may
+  // have charged same-instant arrivals ahead of the one that ended the
+  // window; they stay buffered.)
+  std::size_t taken = 0;
+  Tick last = 0;
+  for (head = peek_head(&si); head != nullptr && head->arrival < until;
+       head = peek_head(&si)) {
+    const Transaction tx = take(si);
+    window_arrivals_[tx.dec.channel].push_back(tx);
+    last = tx.arrival;
+    ++taken;
+  }
+  // Once every session is closed, nothing bounds the window but the
+  // input: stop right after the last arrival, so the per-instant pump
+  // still sees the quiescence point (a drained lane's refresh events must
+  // not run past it).
+  if (all_closed && taken > 0) until = last + 1;
+  if (taken == 0 &&
+      (until == kNeverTick || backend_->next_event_after(now) >= until)) {
+    return false;
+  }
+  clock_.advance({backend_->run_window(window_arrivals_, now, until)});
+  for (std::vector<Transaction>& v : window_arrivals_) v.clear();
+  return true;
+}
+
 SimService::Pump SimService::pump_once() {
   if (pending_tick_ == kNeverTick) {
+    if (windows_ && run_window()) return Pump::kProgress;
     const Tick now0 = clock_.now();
     const Tick unknown = unknown_frontier();
     std::size_t si = 0;

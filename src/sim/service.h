@@ -200,6 +200,11 @@ class SimService {
     std::uint64_t deferred = 0;
 
     const Transaction& front() const { return ring[head]; }
+    // The k-th buffered transaction (k < count; 0 is the front).
+    const Transaction& at(std::size_t k) const {
+      const std::size_t i = head + k;
+      return ring[i < ring.size() ? i : i - ring.size()];
+    }
     void pop() {
       head = head + 1 == ring.size() ? 0 : head + 1;
       --count;
@@ -224,15 +229,25 @@ class SimService {
   // submit (kNeverTick when no session is open with an empty buffer).
   // Instants at or past this bound are not yet sealed.
   Tick unknown_frontier() const;
+  // Pops the merge head of session `si` and assigns its id, warmup flag
+  // and injection books: every injected transaction passes here, in merge
+  // order.
+  Transaction take(std::size_t si);
   // Injects every sealed merge head due at or before `now` while the
   // target channel accepts it (the batch loop's inner while).
   void inject_due(Tick now);
+  // Runs one lookahead window from now(); false (and nothing done) when no
+  // window would cover any work.
+  bool run_window();
   Pump pump_once();
   void require_live(const char* what) const;
   SimResult finalize();
 
   SimConfig cfg_;
   std::unique_ptr<SimBackend> backend_;
+  // Whether step() runs lookahead windows (sharded backends); fixed at
+  // construction so the serial pump never asks.
+  bool windows_ = false;
   AddressMapper mapper_;
   Clock clock_;
   std::uint64_t warmup_ = 0;
@@ -244,6 +259,12 @@ class SimService {
   Tick pending_tick_ = kNeverTick;
   std::vector<Session> sessions_;
   std::vector<std::uint64_t> deferred_;  // per channel
+  // Window scratch: per-channel arrivals (reserved at construction to
+  // queue_capacity, the most a window can route to one channel), free
+  // slots, and per-session merge cursors.
+  std::vector<std::vector<Transaction>> window_arrivals_;
+  std::vector<unsigned> window_slots_;
+  std::vector<std::size_t> window_cursor_;
   std::uint64_t injected_reads_ = 0;
   std::uint64_t injected_writes_ = 0;
   std::uint64_t trace_gen_ticks_ = 0;

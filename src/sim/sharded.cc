@@ -98,18 +98,13 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
   arch_name_ = lanes_[0]->arch->name();
 
   // Lane c belongs to executor c % executors; the coordinator (the thread
-  // calling tick()) is executor 0, workers are 1..executors-1.
+  // calling tick() and run_window()) is executor 0, workers are
+  // 1..executors-1.
   const unsigned workers = executors_ - 1;
   pool_ = std::make_unique<ThreadPool>(workers);
   worker_codec_.reserve(workers);
-  const bool dispatch_all = dispatch_all_;
   for (unsigned w = 1; w <= workers; ++w) {
-    std::vector<MemoryController*> mine;
-    for (unsigned c = w; c < channels; c += executors_) {
-      mine.push_back(lanes_[c]->ctl.get());
-    }
-    worker_codec_.push_back(pool_->submit([this, dispatch_all,
-                                           mine = std::move(mine)]() {
+    worker_codec_.push_back(pool_->submit([this, w, channels]() {
       // Report the codec time this worker's shards accumulate (it lands in
       // the pool thread's thread-local counter, invisible to the caller).
       const std::uint64_t codec_start = perf::codec_ns();
@@ -117,11 +112,8 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
       for (;;) {
         wait_for_epoch(bar_, seen);
         ++seen;
-        if (bar_.stop.load(std::memory_order_acquire)) break;
-        const Tick now = bar_.now.load(std::memory_order_relaxed);
-        for (MemoryController* ctl : mine) {
-          if (dispatch_all || ctl->pending_event() <= now) ctl->tick(now);
-        }
+        if (round_.stop) break;
+        for (unsigned c = w; c < channels; c += executors_) run_lane(c);
         bar_.done.fetch_add(1, std::memory_order_release);
       }
       return perf::codec_ns() - codec_start;
@@ -134,14 +126,34 @@ ShardedBackend::~ShardedBackend() { retire_workers(); }
 void ShardedBackend::retire_workers() {
   if (retired_) return;
   retired_ = true;
-  bar_.stop.store(true, std::memory_order_release);
-  bar_.epoch.fetch_add(1, std::memory_order_release);
+  round_.stop = true;
+  start_round();
   for (auto& f : worker_codec_) worker_codec_ns_ += f.get();
   pool_.reset();
 }
 
+void ShardedBackend::start_round() {
+  bar_.done.store(0, std::memory_order_relaxed);
+  bar_.epoch.fetch_add(1, std::memory_order_release);
+}
+
+void ShardedBackend::run_lane(unsigned c) {
+  Lane& lane = *lanes_[c];
+  if (round_.window) {
+    const std::vector<Transaction>& mine = (*round_.arrivals)[c];
+    lane.last = lane.ctl->run_window(mine.data(), mine.size(), round_.from,
+                                     round_.until);
+  } else if (dispatch_all_ || lane.ctl->pending_event() <= round_.now) {
+    lane.ctl->tick(round_.now);
+  }
+}
+
 bool ShardedBackend::can_accept(const DecodedAddr& dec) const {
   return lanes_[dec.channel]->ctl->can_accept();
+}
+
+unsigned ShardedBackend::free_slots(unsigned channel) const {
+  return lanes_[channel]->ctl->free_slots();
 }
 
 void ShardedBackend::enqueue(const Transaction& tx) {
@@ -172,8 +184,8 @@ Tick ShardedBackend::last_completion() const {
 }
 
 void ShardedBackend::tick(Tick now) {
-  // Step the shards due at `now`. Most instants wake a single channel:
-  // step it inline and skip the barrier round entirely (safe — every
+  // Step the shards due at `now`. Most boundary instants wake a single
+  // channel: step it inline and skip the gang round entirely (safe — every
   // prior worker write to the lane is ordered before the coordinator's
   // last `done` acquire, and this write before the next epoch release).
   const unsigned channels = num_channels();
@@ -190,15 +202,44 @@ void ShardedBackend::tick(Tick now) {
     lanes_[only_due]->ctl->tick(now);
     return;
   }
-  bar_.now.store(now, std::memory_order_relaxed);
-  bar_.done.store(0, std::memory_order_relaxed);
-  bar_.epoch.fetch_add(1, std::memory_order_release);
-  for (unsigned c = 0; c < channels; c += executors_) {
-    if (dispatch_all_ || lanes_[c]->ctl->pending_event() <= now) {
-      lanes_[c]->ctl->tick(now);
+  round_.window = false;
+  round_.now = now;
+  start_round();
+  for (unsigned c = 0; c < channels; c += executors_) run_lane(c);
+  wait_for_done(bar_, executors_ - 1);
+}
+
+Tick ShardedBackend::run_window(
+    const std::vector<std::vector<Transaction>>& arrivals, Tick from,
+    Tick until) {
+  // With one busy lane (an arrival or an event before `until`), run it
+  // inline — the others would sit the window out untouched — by the same
+  // handoff argument as tick(); otherwise one gang round runs them all.
+  const unsigned channels = num_channels();
+  unsigned busy = 0;
+  unsigned only_busy = 0;
+  for (unsigned c = 0; c < channels; ++c) {
+    if (!arrivals[c].empty() ||
+        lanes_[c]->ctl->next_event_after(from) < until) {
+      ++busy;
+      only_busy = c;
     }
   }
+  if (busy == 1) {
+    const std::vector<Transaction>& mine = arrivals[only_busy];
+    return lanes_[only_busy]->ctl->run_window(mine.data(), mine.size(), from,
+                                              until);
+  }
+  round_.window = true;
+  round_.from = from;
+  round_.until = until;
+  round_.arrivals = &arrivals;
+  start_round();
+  for (unsigned c = 0; c < channels; c += executors_) run_lane(c);
   wait_for_done(bar_, executors_ - 1);
+  Tick last = from;
+  for (const auto& lane : lanes_) last = std::max(last, lane->last);
+  return last;
 }
 
 void ShardedBackend::fold_stream(std::uint32_t stream,

@@ -2,7 +2,9 @@
 // partial-accept, chunking invariance, and the headline determinism
 // contract — K concurrent sessions produce the bit-identical result of a
 // batch run over the pre-merged trace, across scan modes, worker counts,
-// and fault injection.
+// and fault injection. The back-pressure, chunking and mid-run session
+// tests run again on a sharded backend, where gap-0 bursts split across
+// submits and emptied sessions fall on lookahead-window boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,11 +113,55 @@ void expect_registry_identical_modulo_streams(const MetricsRegistry& batch,
   }
 }
 
+// Two service runs agree on every registry entry, per-stream ones included.
+void expect_registry_identical(const MetricsRegistry& a,
+                               const MetricsRegistry& b) {
+  ASSERT_EQ(a.all().size(), b.all().size());
+  auto bi = b.all().begin();
+  for (auto ai = a.all().begin(); ai != a.all().end(); ++ai, ++bi) {
+    EXPECT_EQ(ai->first, bi->first);
+    EXPECT_EQ(ai->second.kind, bi->second.kind) << ai->first;
+    EXPECT_EQ(ai->second.count, bi->second.count) << ai->first;
+    EXPECT_DOUBLE_EQ(ai->second.value, bi->second.value) << ai->first;
+  }
+}
+
+// The sharded variants below: `run(cfg, jobs)` on a four-channel config at
+// jobs 2 and 4 must reproduce its serial (jobs = 1) result exactly, under
+// both scan modes, faults off and on.
+template <typename Run>
+void expect_sharded_matches_serial(Run run) {
+  for (const bool faults : {false, true}) {
+    for (const ScanMode scan : {ScanMode::kIndexed, ScanMode::kReference}) {
+      SimConfig cfg = small_config(/*channels=*/4);
+      cfg.sched.scan_mode = scan;
+      if (faults) {
+        cfg.fault.enabled = true;
+        cfg.fault.seed = 7;
+        cfg.fault.initial_wear = 0.9;
+      }
+      const SimResult serial = run(cfg, 1u);
+      for (const unsigned jobs : {2u, 4u}) {
+        SCOPED_TRACE(std::string(scan == ScanMode::kIndexed ? "indexed"
+                                                            : "reference") +
+                     (faults ? " faults" : " nofaults") +
+                     " jobs=" + std::to_string(jobs));
+        const SimResult sharded = run(cfg, jobs);
+        expect_identical(serial, sharded);
+        expect_registry_identical(serial.metrics, sharded.metrics);
+      }
+    }
+  }
+}
+
 // Feeds one record vector through a single session in `chunk`-sized
 // submits, resubmitting back-pressured tails, and drains.
 SimResult drive_one(const SimConfig& cfg, const std::vector<TraceRecord>& recs,
-                    std::size_t chunk, std::size_t capacity = 4096) {
-  SimService svc(cfg);
+                    std::size_t chunk, std::size_t capacity = 4096,
+                    unsigned jobs = 1) {
+  ServiceOptions opts;
+  opts.jobs = jobs;
+  SimService svc(cfg, opts);
   StreamSpec spec;
   spec.capacity = capacity;
   const SessionId id = svc.open_session(spec);
@@ -182,9 +228,13 @@ TEST(ServiceLifecycle, FinishedServiceRejectsEverything) {
   EXPECT_THROW(svc.drain(), std::logic_error);
 }
 
-TEST(ServiceBackPressure, PartialAcceptThenResubmitDeliversAll) {
+// An 8-record ring fed a 64-record stream: partial accepts, resubmits
+// after every step.
+SimResult partial_accept_run(const SimConfig& cfg, unsigned jobs) {
   const auto recs = burst_records(64, 3);
-  SimService svc(small_config());
+  ServiceOptions opts;
+  opts.jobs = jobs;
+  SimService svc(cfg, opts);
   StreamSpec spec;
   spec.capacity = 8;  // force partial accepts
   const SessionId id = svc.open_session(spec);
@@ -203,10 +253,18 @@ TEST(ServiceBackPressure, PartialAcceptThenResubmitDeliversAll) {
   svc.close_session(id);
   const SimResult r = svc.drain();
   EXPECT_EQ(r.injected_reads + r.injected_writes, recs.size());
+  return r;
+}
 
+TEST(ServiceBackPressure, PartialAcceptThenResubmitDeliversAll) {
+  const SimResult r = partial_accept_run(small_config(), 1);
   // The tight ring changes when records reach the service, never what the
   // simulation computes: a roomy one-shot feed is bit-identical.
-  expect_identical(r, drive_one(small_config(), recs, recs.size()));
+  expect_identical(r, drive_one(small_config(), burst_records(64, 3), 64));
+}
+
+TEST(ServiceBackPressure, PartialAcceptThenResubmitDeliversAllSharded) {
+  expect_sharded_matches_serial(partial_accept_run);
 }
 
 TEST(ServiceDeterminism, ChunkingInvariance) {
@@ -221,6 +279,19 @@ TEST(ServiceDeterminism, ChunkingInvariance) {
   expect_identical(whole, drive_one(cfg, recs, 33));
 }
 
+TEST(ServiceDeterminism, ChunkingInvarianceSharded) {
+  // The same invariance on a sharded backend: every chunking of the
+  // stream, at every worker count, reproduces the serial one-shot run.
+  const auto recs = burst_records(200, 5);
+  for (const std::size_t chunk : {1, 7, 33}) {
+    SCOPED_TRACE("chunk=" + std::to_string(chunk));
+    expect_sharded_matches_serial([&](const SimConfig& cfg, unsigned jobs) {
+      return drive_one(cfg, recs, jobs == 1 ? recs.size() : chunk, 4096,
+                       jobs);
+    });
+  }
+}
+
 TEST(ServiceDeterminism, MatchesBatchRunOverSameRecords) {
   const auto recs = burst_records(300, 9);
   const SimConfig cfg = small_config();
@@ -229,9 +300,12 @@ TEST(ServiceDeterminism, MatchesBatchRunOverSameRecords) {
   expect_identical(batch, drive_one(cfg, recs, 17));
 }
 
-TEST(ServiceSessions, InterleavedOpenCloseMidRun) {
-  const SimConfig cfg = small_config();
-  SimService svc(cfg);
+// Session A runs alone, B joins mid-run, A closes while B still gates the
+// merge, then B closes.
+SimResult interleaved_open_close_run(const SimConfig& cfg, unsigned jobs) {
+  ServiceOptions opts;
+  opts.jobs = jobs;
+  SimService svc(cfg, opts);
   const auto recs_a = burst_records(120, 11);
   const auto recs_b = burst_records(80, 13);
 
@@ -277,6 +351,15 @@ TEST(ServiceSessions, InterleavedOpenCloseMidRun) {
   EXPECT_TRUE(r.metrics.has("stream0.submitted"));
   EXPECT_EQ(r.metrics.counter("stream0.submitted"), recs_a.size());
   EXPECT_EQ(r.metrics.counter("stream1.submitted"), recs_b.size());
+  return r;
+}
+
+TEST(ServiceSessions, InterleavedOpenCloseMidRun) {
+  interleaved_open_close_run(small_config(), 1);
+}
+
+TEST(ServiceSessions, InterleavedOpenCloseMidRunSharded) {
+  expect_sharded_matches_serial(interleaved_open_close_run);
 }
 
 TEST(ServiceSessions, PollReportsPerStreamBooks) {

@@ -2,8 +2,8 @@
 // per-scenario speedups: new rate / old rate per platform. The CI
 // perf-regression gate runs it against the committed JSON:
 //
-//   perf_diff old=BENCH_singlerun.json new=build/bench_now.json \
-//             min_ratio=0.7 gate=true
+//   perf_diff old=BENCH_singlerun.json new=build/bench_now.json
+//             min_ratio=0.7 gate=true   (one command line)
 //
 // gate=true exits 1 when any scenario's ratio falls below min_ratio —
 // unless either file was recorded with degraded_environment:true (a
