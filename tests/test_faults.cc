@@ -9,6 +9,7 @@
 
 #include "controller/remap_table.h"
 #include "pcm/fault_model.h"
+#include "result_compare.h"
 #include "sim/config_io.h"
 #include "sim/run.h"
 
@@ -306,27 +307,12 @@ TEST(FaultInjection, BadFaultConfigThrows) {
 // -------------------------------------------------------------------------
 // Determinism contract
 
-void expect_same_outcome(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.fault_injected, b.fault_injected);
-  EXPECT_EQ(a.fault_retries, b.fault_retries);
-  EXPECT_EQ(a.fault_demoted_writes, b.fault_demoted_writes);
-  EXPECT_EQ(a.fault_remapped_rows, b.fault_remapped_rows);
-  EXPECT_EQ(a.fault_dead_rows, b.fault_dead_rows);
-  EXPECT_EQ(a.fault_read_disturbs, b.fault_read_disturbs);
-  EXPECT_EQ(a.stats.counters.all(), b.stats.counters.all());
-  EXPECT_EQ(a.stats.demand_write_latency.sum(),
-            b.stats.demand_write_latency.sum());
-  EXPECT_EQ(a.stats.demand_read_latency.sum(),
-            b.stats.demand_read_latency.sum());
-}
-
 TEST(FaultDeterminism, SameSeedSameFaults) {
   for (const ArchKind kind :
        {ArchKind::kWomPcm, ArchKind::kRefreshWomPcm, ArchKind::kWcpcm}) {
     const SimResult a = run_worn(kind);
     const SimResult b = run_worn(kind);
-    expect_same_outcome(a, b);
+    expect_identical(a, b);
   }
 }
 
@@ -339,7 +325,7 @@ TEST(FaultDeterminism, ScanModesAgreeUnderFaults) {
   reference.scan_mode = ScanMode::kReference;
   const SimResult a = run({cfg, trace, indexed});
   const SimResult b = run({cfg, trace, reference});
-  expect_same_outcome(a, b);
+  expect_identical(a, b);
   EXPECT_GT(a.fault_injected, 0u);  // the agreement is not vacuous
 }
 

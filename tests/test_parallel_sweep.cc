@@ -5,54 +5,12 @@
 
 #include <vector>
 
+#include "result_compare.h"
 #include "sim/experiment.h"
 #include "sim/parallel_sweep.h"
 
 namespace wompcm {
 namespace {
-
-void expect_same_result(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.arch_name, b.arch_name);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.injected_reads, b.injected_reads);
-  EXPECT_EQ(a.injected_writes, b.injected_writes);
-  EXPECT_EQ(a.deferred_injections, b.deferred_injections);
-  EXPECT_EQ(a.refresh_commands, b.refresh_commands);
-  EXPECT_EQ(a.refresh_rows, b.refresh_rows);
-
-  EXPECT_EQ(a.stats.demand_read_latency.count(),
-            b.stats.demand_read_latency.count());
-  EXPECT_DOUBLE_EQ(a.stats.demand_read_latency.sum(),
-                   b.stats.demand_read_latency.sum());
-  EXPECT_EQ(a.stats.demand_read_latency.min(),
-            b.stats.demand_read_latency.min());
-  EXPECT_EQ(a.stats.demand_read_latency.max(),
-            b.stats.demand_read_latency.max());
-  EXPECT_EQ(a.stats.demand_write_latency.count(),
-            b.stats.demand_write_latency.count());
-  EXPECT_DOUBLE_EQ(a.stats.demand_write_latency.sum(),
-                   b.stats.demand_write_latency.sum());
-  EXPECT_EQ(a.stats.demand_write_latency.min(),
-            b.stats.demand_write_latency.min());
-  EXPECT_EQ(a.stats.demand_write_latency.max(),
-            b.stats.demand_write_latency.max());
-
-  EXPECT_EQ(a.stats.counters.all(), b.stats.counters.all());
-  EXPECT_DOUBLE_EQ(a.energy_read_pj, b.energy_read_pj);
-  EXPECT_DOUBLE_EQ(a.energy_write_pj, b.energy_write_pj);
-  EXPECT_DOUBLE_EQ(a.energy_refresh_pj, b.energy_refresh_pj);
-  EXPECT_DOUBLE_EQ(a.max_line_wear, b.max_line_wear);
-  EXPECT_DOUBLE_EQ(a.mean_line_wear, b.mean_line_wear);
-  EXPECT_DOUBLE_EQ(a.lifetime_years, b.lifetime_years);
-
-  ASSERT_EQ(a.banks.size(), b.banks.size());
-  for (std::size_t i = 0; i < a.banks.size(); ++i) {
-    EXPECT_EQ(a.banks[i].busy_time, b.banks[i].busy_time);
-    EXPECT_EQ(a.banks[i].ops, b.banks[i].ops);
-    EXPECT_EQ(a.banks[i].row_hits, b.banks[i].row_hits);
-    EXPECT_EQ(a.banks[i].pauses, b.banks[i].pauses);
-  }
-}
 
 std::vector<WorkloadProfile> test_profiles() {
   // One profile per suite, covering the behavioural spread.
@@ -78,7 +36,7 @@ TEST(ParallelSweep, ParallelMatchesSerialBitForBit) {
     ASSERT_EQ(serial[i].results.size(), parallel[i].results.size());
     for (std::size_t j = 0; j < serial[i].results.size(); ++j) {
       SCOPED_TRACE(serial[i].results[j].arch_name);
-      expect_same_result(serial[i].results[j], parallel[i].results[j]);
+      expect_identical(serial[i].results[j], parallel[i].results[j]);
     }
   }
 }

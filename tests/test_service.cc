@@ -9,13 +9,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "result_compare.h"
 #include "sim/experiment.h"
 #include "sim/service.h"
 #include "sim/simulator.h"
@@ -55,77 +55,6 @@ std::vector<TraceRecord> burst_records(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// Every deterministic field of two results must be identical; phase
-// counters are wall-clock and excluded by design.
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.arch_name, b.arch_name);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.injected_reads, b.injected_reads);
-  EXPECT_EQ(a.injected_writes, b.injected_writes);
-  EXPECT_EQ(a.deferred_injections, b.deferred_injections);
-  EXPECT_EQ(a.refresh_commands, b.refresh_commands);
-  EXPECT_EQ(a.refresh_rows, b.refresh_rows);
-  EXPECT_EQ(a.stats.counters.all(), b.stats.counters.all());
-  EXPECT_EQ(a.stats.demand_read_latency.count(),
-            b.stats.demand_read_latency.count());
-  EXPECT_EQ(a.stats.demand_read_latency.sum(),
-            b.stats.demand_read_latency.sum());
-  EXPECT_EQ(a.stats.demand_read_latency.max(),
-            b.stats.demand_read_latency.max());
-  EXPECT_EQ(a.stats.demand_write_latency.count(),
-            b.stats.demand_write_latency.count());
-  EXPECT_EQ(a.stats.demand_write_latency.sum(),
-            b.stats.demand_write_latency.sum());
-  EXPECT_EQ(a.stats.demand_write_latency.max(),
-            b.stats.demand_write_latency.max());
-  EXPECT_EQ(a.fault_injected, b.fault_injected);
-  EXPECT_EQ(a.fault_retries, b.fault_retries);
-  EXPECT_EQ(a.fault_demoted_writes, b.fault_demoted_writes);
-  EXPECT_EQ(a.fault_remapped_rows, b.fault_remapped_rows);
-  EXPECT_EQ(a.fault_dead_rows, b.fault_dead_rows);
-  EXPECT_DOUBLE_EQ(a.energy_write_pj, b.energy_write_pj);
-  EXPECT_DOUBLE_EQ(a.energy_read_pj, b.energy_read_pj);
-  EXPECT_DOUBLE_EQ(a.max_line_wear, b.max_line_wear);
-  ASSERT_EQ(a.banks.size(), b.banks.size());
-  for (std::size_t i = 0; i < a.banks.size(); ++i) {
-    EXPECT_EQ(a.banks[i].busy_time, b.banks[i].busy_time);
-    EXPECT_EQ(a.banks[i].ops, b.banks[i].ops);
-    EXPECT_EQ(a.banks[i].row_hits, b.banks[i].row_hits);
-  }
-}
-
-// The service registry must equal the batch registry once its additive
-// per-stream slice ("stream<N>.*") is stripped.
-void expect_registry_identical_modulo_streams(const MetricsRegistry& batch,
-                                              const MetricsRegistry& service) {
-  auto svc = service.all();  // copy: name-sorted map
-  for (auto it = svc.begin(); it != svc.end();) {
-    it = it->first.rfind("stream", 0) == 0 ? svc.erase(it) : std::next(it);
-  }
-  const auto& base = batch.all();
-  ASSERT_EQ(base.size(), svc.size());
-  auto bi = base.begin();
-  for (auto si = svc.begin(); si != svc.end(); ++si, ++bi) {
-    EXPECT_EQ(bi->first, si->first);
-    EXPECT_EQ(bi->second.kind, si->second.kind) << bi->first;
-    EXPECT_EQ(bi->second.count, si->second.count) << bi->first;
-    EXPECT_DOUBLE_EQ(bi->second.value, si->second.value) << bi->first;
-  }
-}
-
-// Two service runs agree on every registry entry, per-stream ones included.
-void expect_registry_identical(const MetricsRegistry& a,
-                               const MetricsRegistry& b) {
-  ASSERT_EQ(a.all().size(), b.all().size());
-  auto bi = b.all().begin();
-  for (auto ai = a.all().begin(); ai != a.all().end(); ++ai, ++bi) {
-    EXPECT_EQ(ai->first, bi->first);
-    EXPECT_EQ(ai->second.kind, bi->second.kind) << ai->first;
-    EXPECT_EQ(ai->second.count, bi->second.count) << ai->first;
-    EXPECT_DOUBLE_EQ(ai->second.value, bi->second.value) << ai->first;
-  }
-}
-
 // The sharded variants below: `run(cfg, jobs)` on a four-channel config at
 // jobs 2 and 4 must reproduce its serial (jobs = 1) result exactly, under
 // both scan modes, faults off and on.
@@ -148,7 +77,6 @@ void expect_sharded_matches_serial(Run run) {
                      " jobs=" + std::to_string(jobs));
         const SimResult sharded = run(cfg, jobs);
         expect_identical(serial, sharded);
-        expect_registry_identical(serial.metrics, sharded.metrics);
       }
     }
   }
@@ -297,7 +225,8 @@ TEST(ServiceDeterminism, MatchesBatchRunOverSameRecords) {
   const SimConfig cfg = small_config();
   VectorTraceSource src(recs);
   const SimResult batch = Simulator(cfg).run(src);
-  expect_identical(batch, drive_one(cfg, recs, 17));
+  expect_identical(batch, drive_one(cfg, recs, 17),
+                   RegistryScope::kIgnoreStreamSlice);
 }
 
 // Session A runs alone, B joins mid-run, A closes while B still gates the
@@ -472,8 +401,9 @@ TEST_P(ServiceEquivalence, KSessionsMatchPreMergedBatch) {
   }
   const SimResult service = svc.drain();
 
-  expect_identical(batch, service);
-  expect_registry_identical_modulo_streams(batch.metrics, service.metrics);
+  // The service adds only its per-session slice ("stream<N>.*") on top of
+  // the batch books.
+  expect_identical(batch, service, RegistryScope::kIgnoreStreamSlice);
 
   // The per-stream slice is complete: session counts sum to the totals.
   std::uint64_t submitted = 0;

@@ -18,84 +18,13 @@
 #include <filesystem>
 #include <string>
 
+#include "result_compare.h"
 #include "sim/config_io.h"
 #include "sim/experiment.h"
 #include "sim/run.h"
 
 namespace wompcm {
 namespace {
-
-// Same thorough predicate as the sharded suite: every deterministic field,
-// the full metrics registry (which now carries chN.tier.*), banks, energy,
-// wear and fault tallies.
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.arch_name, b.arch_name);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.injected_reads, b.injected_reads);
-  EXPECT_EQ(a.injected_writes, b.injected_writes);
-  EXPECT_EQ(a.deferred_injections, b.deferred_injections);
-  EXPECT_EQ(a.refresh_commands, b.refresh_commands);
-  EXPECT_EQ(a.refresh_rows, b.refresh_rows);
-
-  auto expect_latency_eq = [](const LatencyStats& x, const LatencyStats& y,
-                              const char* what) {
-    EXPECT_EQ(x.count(), y.count()) << what;
-    EXPECT_EQ(x.min(), y.min()) << what;
-    EXPECT_EQ(x.max(), y.max()) << what;
-    EXPECT_EQ(x.sum(), y.sum()) << what;
-  };
-  expect_latency_eq(a.stats.demand_read_latency, b.stats.demand_read_latency,
-                    "demand read latency");
-  expect_latency_eq(a.stats.demand_write_latency,
-                    b.stats.demand_write_latency, "demand write latency");
-  expect_latency_eq(a.stats.internal_write_latency,
-                    b.stats.internal_write_latency, "internal write latency");
-
-  for (std::size_t i = 0; i < Log2Histogram::kBuckets; ++i) {
-    EXPECT_EQ(a.stats.read_latency_hist.bucket(i),
-              b.stats.read_latency_hist.bucket(i))
-        << "read hist bucket " << i;
-    EXPECT_EQ(a.stats.write_latency_hist.bucket(i),
-              b.stats.write_latency_hist.bucket(i))
-        << "write hist bucket " << i;
-  }
-
-  EXPECT_EQ(a.stats.counters.all(), b.stats.counters.all());
-
-  const auto& ma = a.metrics.all();
-  const auto& mb = b.metrics.all();
-  ASSERT_EQ(ma.size(), mb.size());
-  auto ib = mb.begin();
-  for (auto ia = ma.begin(); ia != ma.end(); ++ia, ++ib) {
-    EXPECT_EQ(ia->first, ib->first);
-    EXPECT_EQ(ia->second.kind, ib->second.kind) << ia->first;
-    EXPECT_EQ(ia->second.count, ib->second.count) << ia->first;
-    EXPECT_EQ(ia->second.value, ib->second.value) << ia->first;
-  }
-
-  ASSERT_EQ(a.banks.size(), b.banks.size());
-  for (std::size_t i = 0; i < a.banks.size(); ++i) {
-    EXPECT_EQ(a.banks[i].busy_time, b.banks[i].busy_time) << "bank " << i;
-    EXPECT_EQ(a.banks[i].ops, b.banks[i].ops) << "bank " << i;
-    EXPECT_EQ(a.banks[i].row_hits, b.banks[i].row_hits) << "bank " << i;
-    EXPECT_EQ(a.banks[i].pauses, b.banks[i].pauses) << "bank " << i;
-    EXPECT_EQ(a.banks[i].cache, b.banks[i].cache) << "bank " << i;
-  }
-
-  EXPECT_EQ(a.capacity_overhead, b.capacity_overhead);
-  EXPECT_EQ(a.energy_read_pj, b.energy_read_pj);
-  EXPECT_EQ(a.energy_write_pj, b.energy_write_pj);
-  EXPECT_EQ(a.energy_refresh_pj, b.energy_refresh_pj);
-  EXPECT_EQ(a.max_line_wear, b.max_line_wear);
-  EXPECT_EQ(a.mean_line_wear, b.mean_line_wear);
-  EXPECT_EQ(a.lifetime_years, b.lifetime_years);
-  EXPECT_EQ(a.fault_injected, b.fault_injected);
-  EXPECT_EQ(a.fault_retries, b.fault_retries);
-  EXPECT_EQ(a.fault_demoted_writes, b.fault_demoted_writes);
-  EXPECT_EQ(a.fault_remapped_rows, b.fault_remapped_rows);
-  EXPECT_EQ(a.fault_dead_rows, b.fault_dead_rows);
-  EXPECT_EQ(a.fault_read_disturbs, b.fault_read_disturbs);
-}
 
 SimResult run_jobs(const SimConfig& cfg, const TraceSpec& trace,
                    std::uint64_t seed, unsigned jobs) {
@@ -337,7 +266,7 @@ TEST(Tiered, EveryConfigFileRunsEndToEnd) {
   // fails here, not on a user's command line.
   const std::filesystem::path dir =
       std::filesystem::path(WOMPCM_REPO_DIR) / "configs";
-  const WorkloadProfile& profile = *find_profile("401.bzip2");
+  const WorkloadProfile profile = *find_profile("401.bzip2");
   std::size_t count = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".cfg") continue;
