@@ -1,22 +1,15 @@
-// Hot-path microbench for the devirtualized dispatch layers: TagArray
-// probe throughput per replacement policy (the enum-switched
-// ReplacementState — or the virtual reference under
-// -DWOMPCM_REFERENCE_DISPATCH=ON, so an A/B of the two builds isolates the
-// dispatch cost), and trace-injection throughput across batch sizes (the
-// TraceInjector front end shared by the serial and sharded event loops).
+// Hot-path microbench for the tag layer: TagArray probe throughput per
+// replacement scheme (the enum-switched ReplacementState behind the WOM
+// cache's bank-tag arrays and the DRAM front tier). The trace front end is
+// timed end to end by perfbench's service.submit_ns_per_rec.
 //
-// Arguments: ops=N (default 2000000) probe operations per policy,
-// accesses=N (default 1000000) records per injection run.
+// Arguments: ops=N (default 2000000) probe operations per scheme.
 #include <cstdio>
-#include <vector>
 
 #include "arch/tag_array.h"
 #include "common/config.h"
 #include "common/perf.h"
 #include "common/rng.h"
-#include "sim/experiment.h"
-#include "sim/injector.h"
-#include "trace/trace.h"
 
 namespace {
 
@@ -53,38 +46,12 @@ double tag_probe_rate(ReplacementKind kind, unsigned sets, unsigned ways,
                              static_cast<double>(ns);
 }
 
-// End-to-end front-end rate: fetch + decode + consume through the
-// TraceInjector at a given block size.
-double injection_rate(const std::vector<TraceRecord>& records,
-                      const AddressMapper& mapper, unsigned block) {
-  VectorTraceSource src(records);
-  TraceInjector inj(src, mapper, /*warmup=*/0, block);
-  std::uint64_t sink = 0;
-  const std::uint64_t t0 = perf::now_ns();
-  while (const Transaction* tx = inj.peek()) {
-    sink += tx->dec.channel + tx->arrival;
-    inj.pop();
-  }
-  const std::uint64_t ns = perf::now_ns() - t0;
-  if (sink == ~std::uint64_t{0}) std::printf("(unreachable)\n");
-  return ns == 0 ? 0.0 : static_cast<double>(records.size()) * 1e9 /
-                             static_cast<double>(ns);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const KeyValueConfig args = KeyValueConfig::from_args(argc, argv);
   const auto ops =
       static_cast<std::uint64_t>(args.get_int_or("ops", 2000000));
-  const auto accesses =
-      static_cast<std::uint64_t>(args.get_int_or("accesses", 1000000));
-
-#if defined(WOMPCM_REFERENCE_DISPATCH)
-  std::printf("perf_hotpath (reference virtual dispatch)\n\n");
-#else
-  std::printf("perf_hotpath (devirtualized dispatch)\n\n");
-#endif
 
   std::printf("TagArray probe throughput (%llu mixed probes each):\n",
               static_cast<unsigned long long>(ops));
@@ -103,26 +70,6 @@ int main(int argc, char** argv) {
   for (const Case& c : cases) {
     const double rate = tag_probe_rate(c.kind, c.sets, c.ways, ops);
     std::printf("  %-16s %10.1f Mprobe/s\n", c.label, rate * 1e-6);
-  }
-
-  std::printf("\nTrace injection throughput (%llu records, paper "
-              "geometry):\n",
-              static_cast<unsigned long long>(accesses));
-  const MemoryGeometry geom = paper_config().geom;
-  const AddressMapper mapper(geom);
-  std::vector<TraceRecord> records;
-  records.reserve(accesses);
-  Rng rng(7);
-  for (std::uint64_t i = 0; i < accesses; ++i) {
-    TraceRecord r;
-    r.gap = rng.next_below(8);
-    r.type = rng.next_below(3) == 0 ? AccessType::kWrite : AccessType::kRead;
-    r.addr = rng.next_u64() % (std::uint64_t{1} << 32);
-    records.push_back(r);
-  }
-  for (const unsigned block : {1u, 8u, 32u, 64u, 256u, 1024u}) {
-    const double rate = injection_rate(records, mapper, block);
-    std::printf("  block=%-5u %10.1f Macc/s\n", block, rate * 1e-6);
   }
   return 0;
 }

@@ -1,4 +1,4 @@
-// Architecture interface: the policy layer the memory controller consults.
+// Architecture: the policy layer the memory controller consults.
 //
 // The controller owns the timing machinery (queues, banks, bus, refresh
 // engine); an Architecture decides *where* an access goes (which bank-like
@@ -10,12 +10,16 @@
 // arrays (WCPCM) append one resource per rank after the main banks.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "arch/cache_layer.h"
+#include "arch/coding_policies.h"
+#include "arch/refresh_policy.h"
 #include "common/address.h"
 #include "common/types.h"
 #include "controller/remap_table.h"
@@ -28,23 +32,6 @@
 #include "stats/stats.h"
 
 namespace wompcm {
-
-// An internal write the controller must enqueue on behalf of the
-// architecture (e.g. a WOM-cache victim flushed to PCM main memory).
-struct SpawnedWrite {
-  DecodedAddr dec;
-};
-
-// The issue-time decision for one demand or internal access.
-struct IssuePlan {
-  unsigned resource = 0;  // bank-like resource the access occupies
-  unsigned row = 0;       // row latched in that resource's row buffer
-  Tick pre_ns = 0;        // before the array phase: tag checks, pauses
-  Tick program_ns = 0;    // write programming latency (0 for reads)
-  Tick post_ns = 0;       // after the array phase: hidden-page second access
-  WriteClass write_class = WriteClass::kResetOnly;  // diagnostics
-  std::vector<SpawnedWrite> spawned;  // internal writes to enqueue
-};
 
 enum class ArchKind : std::uint8_t {
   kBaseline,       // conventional PCM, every write is SET-bound
@@ -68,33 +55,14 @@ const char* to_string(ArchKind k);
 // paper never evaluated (Flip-N-Write behind a WOM-cache, hidden-page +
 // refresh, a symmetric-latency cache as an upper bound).
 
-// How one region stores its lines.
-enum class CodingKind : std::uint8_t {
-  kRaw,         // uncoded: every write is SET-bound (conventional PCM)
-  kWomWide,     // inverted WOM code, wide-column organization (Section 3.1)
-  kWomHidden,   // inverted WOM code, hidden-page organization (Section 3.1)
-  kFlipNWrite,  // Flip-N-Write coding (Cho & Lee, MICRO 2009)
-  kSymmetric,   // hypothetical S=1 memory: every write at RESET latency
-  kPolar,       // polar-kernel WOM block code, sectioned (wide columns)
-  kTsConstrained,  // time-space constrained replica rotation, sectioned
-};
-
 enum class RefreshKind : std::uint8_t {
   kNone,
   kRat,  // row-address tables + burst re-initialization (Section 3.2)
 };
 
-const char* to_string(CodingKind k);
 const char* to_string(RefreshKind k);
-// Parsers for the config keys (main.coding= / cache.coding= / refresh=).
-// Return false on an unknown name.
-bool coding_kind_from_string(const std::string& s, CodingKind* out);
+// Parser for the refresh= config key. Returns false on an unknown name.
 bool refresh_kind_from_string(const std::string& s, RefreshKind* out);
-
-inline bool is_wom_coding(CodingKind k) {
-  return k == CodingKind::kWomWide || k == CodingKind::kWomHidden ||
-         k == CodingKind::kPolar || k == CodingKind::kTsConstrained;
-}
 
 struct Composition {
   CodingKind main_coding = CodingKind::kRaw;
@@ -153,47 +121,62 @@ struct ArchConfig {
   Composition resolved_composition() const;
 };
 
+// The one architecture, built from a Composition: it wires a main-memory
+// CodingPolicy, an optional per-rank WOM-cache CacheLayer (with its own
+// CodingPolicy), and a RatRefreshPolicy per refreshable region into the
+// interface the controller consumes.
 class Architecture {
  public:
-  Architecture(const MemoryGeometry& geom, const PcmTiming& timing);
-  virtual ~Architecture() = default;
+  // Resolves cfg.resolved_composition() and builds the policy stack. Throws
+  // std::invalid_argument on an invalid composition or (when a WOM-coded
+  // region exists) an unknown / non-inverted code. make_architecture() also
+  // validates the geometry and timing and installs Start-Gap and faults.
+  Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
+               const ArchConfig& cfg);
+  // The policies alias this object's books and channel cursor.
+  Architecture(const Architecture&) = delete;
+  Architecture& operator=(const Architecture&) = delete;
 
-  virtual std::string name() const = 0;
+  std::string name() const;
 
   // Total bank-like resources (main banks + any per-rank cache arrays).
-  virtual unsigned num_resources() const;
+  unsigned num_resources() const {
+    return main_banks() + (cache_ == nullptr ? 0 : cache_->arrays());
+  }
 
   // Resource an access will occupy. Pure routing: must not mutate state.
-  virtual unsigned route(const DecodedAddr& dec, AccessType type,
-                         bool internal) const;
+  unsigned route(const DecodedAddr& dec, AccessType type, bool internal) const;
 
   // True when route() for demand reads can change while the read waits in
-  // a queue (WCPCM probes mutable cache tags). Controllers must not cache
-  // the routing of such reads at enqueue time; every other access class is
-  // required to route identically for the lifetime of the transaction.
-  virtual bool read_route_dynamic() const { return false; }
+  // a queue: with a cache front end, demand reads probe the mutable cache
+  // tags, so a queued read's destination can flip between main memory and
+  // the WOM-cache. Controllers must not cache the routing of such reads at
+  // enqueue time; every other access class routes identically for the
+  // lifetime of the transaction.
+  bool read_route_dynamic() const { return cache_ != nullptr; }
 
   // Monotone stamp that advances whenever route() could start returning a
   // different resource for some queued demand read (tag state mutated).
   // While the stamp is unchanged, schedulers may reuse a dynamic read's
   // previously computed route instead of re-probing every scan.
-  virtual std::uint64_t route_version() const { return 0; }
+  std::uint64_t route_version() const {
+    return cache_ == nullptr ? 0 : cache_->route_version();
+  }
 
   // Channel that owns a bank-like resource. Resources never span channels;
   // per-channel controllers use this to claim exactly their own banks.
-  virtual unsigned resource_channel(unsigned resource) const;
+  unsigned resource_channel(unsigned resource) const;
 
-  // True for auxiliary cache arrays (e.g. the per-rank WOM-cache), false
-  // for main-memory banks. Drives the per-class utilization/row-hit split.
-  virtual bool is_cache_resource(unsigned resource) const {
-    (void)resource;
-    return false;
+  // True for auxiliary cache arrays (the per-rank WOM-cache), false for
+  // main-memory banks. Drives the per-class utilization/row-hit split.
+  bool is_cache_resource(unsigned resource) const {
+    return cache_ != nullptr && resource >= main_banks();
   }
 
   // Commits the access at issue time (updates WOM generations, cache tags,
   // energy) and returns its plan. Called exactly once per issued access.
-  virtual IssuePlan plan(const DecodedAddr& dec, AccessType type,
-                         bool internal, Tick now) = 0;
+  IssuePlan plan(const DecodedAddr& dec, AccessType type, bool internal,
+                 Tick now);
 
   // ---- PCM-refresh hooks (Section 3.2) ----
 
@@ -203,25 +186,36 @@ class Architecture {
     unsigned rows = 0;                // rows re-initialized
   };
 
-  virtual bool refresh_enabled() const { return false; }
+  bool refresh_enabled() const {
+    return main_rat_ != nullptr || cache_rat_ != nullptr;
+  }
   // Fraction of this rank's refreshable units that have at least one row
   // pending re-initialization (compared against r_th by the engine).
-  virtual double refresh_pending_fraction(unsigned channel,
-                                          unsigned rank) const;
+  double refresh_pending_fraction(unsigned channel, unsigned rank) const;
   // Executes one burst-mode refresh command against the units of
   // (channel, rank) for which `unit_ready` is true (idle banks: demand on
   // the other banks proceeds untouched, which is what write pausing buys).
   // Pops pending rows from the row address tables and re-initializes them.
-  virtual RefreshWork perform_refresh(
-      unsigned channel, unsigned rank,
-      const std::function<bool(unsigned)>& unit_ready);
+  RefreshWork perform_refresh(unsigned channel, unsigned rank,
+                              const std::function<bool(unsigned)>& unit_ready);
   // Resources a refresh of (channel, rank) may touch.
-  virtual std::vector<unsigned> refresh_resources(unsigned channel,
-                                                  unsigned rank) const;
+  std::vector<unsigned> refresh_resources(unsigned channel,
+                                          unsigned rank) const;
 
-  // Capacity overhead of the architecture relative to uncoded PCM
-  // (e.g. 0.5 for full <2^2>^2/3 WOM-code PCM, 1.5/32 for WCPCM).
-  virtual double capacity_overhead() const { return 0.0; }
+  // Capacity overhead relative to uncoded PCM (e.g. 0.5 for full
+  // <2^2>^2/3 WOM-code PCM, 1.5/32 for WCPCM): the main coding's expansion
+  // plus, with a cache, one coded bank's worth of rows per rank.
+  double capacity_overhead() const;
+
+  const Composition& composition() const { return comp_; }
+  // The WOM code behind the WOM-coded regions (main memory's if it has
+  // one); null when no region runs a symbol code.
+  const WomCode* code() const;
+  // Test access: pending rows in one main bank's RAT.
+  std::size_t rat_size(unsigned flat_bank_idx) const {
+    return main_rat_ == nullptr ? 0 : main_rat_->size(flat_bank_idx);
+  }
+  double write_hit_rate() const;
 
   const CounterSet& counters() const { return counters_; }
   const EnergyCounters& energy() const { return energy_; }
@@ -258,14 +252,10 @@ class Architecture {
   const SpareRowRemapper* remapper() const { return remap_.get(); }
   const FaultModel* fault_model() const { return fault_.get(); }
 
- protected:
+ private:
   unsigned main_banks() const { return mapper_.num_flat_banks(); }
   unsigned flat_bank(const DecodedAddr& dec) const {
     return mapper_.flat_bank(dec);
-  }
-  std::uint64_t row_key(const DecodedAddr& dec) const {
-    return static_cast<std::uint64_t>(flat_bank(dec)) * geom_.rows_per_bank +
-           dec.row;
   }
   std::uint64_t row_key_for(unsigned bank, unsigned row) const {
     // Physical rows may include the Start-Gap spare (== rows_per_bank) and,
@@ -275,6 +265,20 @@ class Architecture {
     return static_cast<std::uint64_t>(bank) * row_key_stride_ + row;
   }
   std::uint64_t line_bits() const { return geom_.line_bytes() * 8ull; }
+  // The books and channel cursor both regions' codings publish into.
+  RegionContext region_context();
+
+  unsigned cache_resource(unsigned channel, unsigned rank) const {
+    return main_banks() + cache_->index(channel, rank);
+  }
+  // Wear/fault row key for a cache row, disjoint from main-memory keys
+  // (cache arrays are keyed as banks appended after the main banks).
+  std::uint64_t cache_wear_key(unsigned cache_idx, unsigned row) const {
+    return row_key_for(main_banks() + cache_idx, row);
+  }
+  IssuePlan plan_main_write(const DecodedAddr& dec, bool internal,
+                            IssuePlan p);
+  IssuePlan plan_cache_write(const DecodedAddr& dec, IssuePlan p);
 
   // Physical row backing this access. With Start-Gap enabled, writes may
   // trigger a gap move whose row-copy cost is charged to `plan->post_ns`.
@@ -341,6 +345,30 @@ class Architecture {
   std::unique_ptr<SpareRowRemapper> remap_;  // null = no spare pool
   std::vector<FaultTally> fault_by_channel_;
   unsigned row_key_stride_;  // rows_per_bank + 1 (+ fault spares)
+
+  Composition comp_;
+  // Channel of the access currently being planned (or rank being
+  // refreshed). Set at the top of plan()/perform_refresh() and aliased by
+  // the codings' RegionContext::channel, it keys every per-channel
+  // stream — energy buckets, the FNW draw RNGs — so per-channel accounting
+  // stays exact whether channels run interleaved (serial) or each on its
+  // own worker against its own replica (sharded).
+  unsigned active_channel_ = 0;
+  CodingPolicy main_coding_;
+  std::unique_ptr<CacheLayer> cache_;            // null = no front end
+  std::unique_ptr<RatRefreshPolicy> main_rat_;   // null = not attached
+  std::unique_ptr<RatRefreshPolicy> cache_rat_;  // null = not attached
+
+  // Lazily-bound counter slots for the per-access hot path (see bump).
+  std::uint64_t* ctr_reads_ = nullptr;
+  std::uint64_t* ctr_write_hits_ = nullptr;
+  std::uint64_t* ctr_write_misses_ = nullptr;
+  std::uint64_t* ctr_victims_ = nullptr;
+  std::uint64_t* ctr_read_hits_ = nullptr;
+  std::uint64_t* ctr_read_misses_ = nullptr;
+  std::uint64_t* ctr_dead_rows_ = nullptr;
+  std::uint64_t* ctr_bypass_writes_ = nullptr;
+  std::uint64_t* ctr_refresh_rows_ = nullptr;
 };
 
 // Factory. Throws std::invalid_argument on bad configuration (unknown code

@@ -1,9 +1,10 @@
 #include "arch/cache_layer.h"
 
+#include <utility>
+
 namespace wompcm {
 
-CacheLayer::CacheLayer(const MemoryGeometry& geom,
-                       std::unique_ptr<CodingPolicy> coding)
+CacheLayer::CacheLayer(const MemoryGeometry& geom, CodingPolicy coding)
     : ranks_(geom.ranks),
       rows_per_bank_(geom.rows_per_bank),
       lines_per_row_(geom.lines_per_row()),

@@ -3,20 +3,19 @@
 // valid bits and a dead-row set for rows retired by the fault model.
 //
 // Tag/valid/victim bookkeeping lives in a TagArray per (channel, rank) —
-// 1-way sets indexed by row, tagged by bank, under the bank_tag
-// ReplacementPolicy — so the WOM cache is one point in the same tag-array
-// design space as the DRAM front tier. The layer additionally owns the
-// per-line valid bitmaps (the cache row only holds the lines written since
-// the install) and the cache's CodingPolicy; the access protocol (victim
+// 1-way sets indexed by row, tagged by bank, under bank_tag replacement —
+// so the WOM cache is one point in the same tag-array design space as the
+// DRAM front tier. The layer additionally owns the per-line valid bitmaps
+// (the cache row only holds the lines written since the install) and the
+// cache's CodingPolicy, held by value; the access protocol (victim
 // spawning, bypass, fault pipeline, refresh scheduling) stays in
-// ComposedArchitecture.
+// Architecture.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "arch/coding_policy.h"
+#include "arch/coding_policies.h"
 #include "arch/tag_array.h"
 #include "common/address.h"
 #include "common/flat_map.h"
@@ -25,10 +24,10 @@ namespace wompcm {
 
 class CacheLayer final {
  public:
-  CacheLayer(const MemoryGeometry& geom, std::unique_ptr<CodingPolicy> coding);
+  CacheLayer(const MemoryGeometry& geom, CodingPolicy coding);
 
-  CodingPolicy& coding() { return *coding_; }
-  const CodingPolicy& coding() const { return *coding_; }
+  CodingPolicy& coding() { return coding_; }
+  const CodingPolicy& coding() const { return coding_; }
 
   unsigned arrays() const { return static_cast<unsigned>(tags_.size()); }
   unsigned index(unsigned channel, unsigned rank) const {
@@ -97,7 +96,7 @@ class CacheLayer final {
   unsigned ranks_;
   unsigned rows_per_bank_;
   unsigned lines_per_row_;
-  std::unique_ptr<CodingPolicy> coding_;
+  CodingPolicy coding_;
   // One 1-way bank_tag TagArray per (channel, rank) cache array, with the
   // per-line valid bitmaps as the slot-parallel payload (slot == row).
   std::vector<TagArray> tags_;

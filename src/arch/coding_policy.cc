@@ -24,8 +24,8 @@ std::string known_names_hint() {
   return hint;
 }
 
-}  // namespace
-
+// Resolves `name` to an inverted WOM code, throwing std::invalid_argument
+// (unknown code / conventional write direction) otherwise.
 WomCodePtr resolve_inverted_wom_code(const std::string& name) {
   WomCodePtr code = make_code(name);
   if (code == nullptr) {
@@ -38,6 +38,49 @@ WomCodePtr resolve_inverted_wom_code(const std::string& name) {
         name + "-inv\"");
   }
   return code;
+}
+
+}  // namespace
+
+const char* to_string(CodingKind k) {
+  switch (k) {
+    case CodingKind::kRaw:
+      return "raw";
+    case CodingKind::kWomWide:
+      return "wom-wide";
+    case CodingKind::kWomHidden:
+      return "wom-hidden";
+    case CodingKind::kFlipNWrite:
+      return "fnw";
+    case CodingKind::kSymmetric:
+      return "symmetric";
+    case CodingKind::kPolar:
+      return "polar";
+    case CodingKind::kTsConstrained:
+      return "ts-constrained";
+  }
+  return "?";
+}
+
+bool coding_kind_from_string(const std::string& s, CodingKind* out) {
+  if (s == "raw") {
+    *out = CodingKind::kRaw;
+  } else if (s == "wom-wide") {
+    *out = CodingKind::kWomWide;
+  } else if (s == "wom-hidden") {
+    *out = CodingKind::kWomHidden;
+  } else if (s == "fnw") {
+    *out = CodingKind::kFlipNWrite;
+  } else if (s == "symmetric") {
+    *out = CodingKind::kSymmetric;
+  } else if (s == "polar") {
+    *out = CodingKind::kPolar;
+  } else if (s == "ts-constrained") {
+    *out = CodingKind::kTsConstrained;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 RegionCode resolve_region_code(CodingKind kind,
@@ -122,23 +165,31 @@ RegionCode resolve_region_code(CodingKind kind,
   return rc;
 }
 
-std::unique_ptr<CodingPolicy> make_coding_policy(
-    CodingKind kind, const RegionContext& ctx, RegionCode code,
-    unsigned lines_per_row, bool erased_start, double fnw_fast_fraction,
-    std::uint64_t seed) {
+CodingPolicy::CodingPolicy(CodingKind kind, const RegionContext& ctx,
+                           RegionCode code, unsigned lines_per_row,
+                           bool erased_start, double fnw_fast_fraction,
+                           std::uint64_t seed)
+    : impl_(make(kind, ctx, std::move(code), lines_per_row, erased_start,
+                 fnw_fast_fraction, seed)) {}
+
+CodingPolicy::Impl CodingPolicy::make(CodingKind kind, const RegionContext& ctx,
+                                      RegionCode code, unsigned lines_per_row,
+                                      bool erased_start,
+                                      double fnw_fast_fraction,
+                                      std::uint64_t seed) {
   switch (kind) {
     case CodingKind::kRaw:
-      return std::make_unique<RawCoding>(ctx);
+      return Impl(std::in_place_type<RawCoding>, ctx);
     case CodingKind::kSymmetric:
-      return std::make_unique<SymmetricCoding>(ctx);
+      return Impl(std::in_place_type<SymmetricCoding>, ctx);
     case CodingKind::kFlipNWrite:
-      return std::make_unique<FnwCoding>(ctx, fnw_fast_fraction, seed);
+      return Impl(std::in_place_type<FnwCoding>, ctx, fnw_fast_fraction, seed);
     case CodingKind::kWomWide:
     case CodingKind::kWomHidden:
     case CodingKind::kPolar:
     case CodingKind::kTsConstrained:
-      return std::make_unique<WomCoding>(ctx, kind, std::move(code),
-                                         lines_per_row, erased_start);
+      return Impl(std::in_place_type<WomCoding>, ctx, kind, std::move(code),
+                  lines_per_row, erased_start);
   }
   throw std::invalid_argument("unknown coding kind");
 }

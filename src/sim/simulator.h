@@ -43,11 +43,11 @@ struct SimConfig {
   // channels * queue_capacity transactions at full load.)
   unsigned queue_capacity = 256;
   bool read_forwarding = true;
-  // Records fetched + decoded per trace-injection batch (sim/injector.h).
+  // Records fetched per trace-injection batch by the batch front end
+  // (SimService::run_to_completion), which also sizes its session ring.
   // Purely a host-side throughput knob: any value >= 1 produces the
   // bit-identical injection sequence, larger blocks just amortize more of
-  // the per-record front-end overhead (virtual fetch, address decode,
-  // phase timing).
+  // the per-record front-end overhead (virtual fetch, phase timing).
   unsigned injection_block = 64;
   // Optional DRAM-timing tier fronting the PCM backend (pcm/tier_spec.h).
   // Disabled by default; a disabled tier leaves runs bit-identical to a

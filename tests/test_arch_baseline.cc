@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch.h"
-#include "arch/composed.h"
 
 namespace wompcm {
 namespace {
@@ -33,7 +32,7 @@ ArchConfig fnw_cfg(double fast_fraction, std::uint64_t seed) {
 }
 
 TEST(BaselinePcm, EveryWriteIsSlowEveryTime) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, baseline_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, baseline_cfg());
   EXPECT_EQ(arch.name(), "pcm");
   DecodedAddr d{0, 1, 2, 3, 4};
   for (int i = 0; i < 5; ++i) {
@@ -48,7 +47,7 @@ TEST(BaselinePcm, EveryWriteIsSlowEveryTime) {
 }
 
 TEST(BaselinePcm, ReadsHaveNoProgramPhase) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, baseline_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, baseline_cfg());
   DecodedAddr d{0, 0, 0, 7, 0};
   const IssuePlan p = arch.plan(d, AccessType::kRead, false, 0);
   EXPECT_EQ(p.program_ns, 0u);
@@ -58,7 +57,7 @@ TEST(BaselinePcm, ReadsHaveNoProgramPhase) {
 
 TEST(BaselinePcm, RoutesToFlatBank) {
   const MemoryGeometry g = small_geom();
-  ComposedArchitecture arch(g, PcmTiming{}, baseline_cfg());
+  Architecture arch(g, PcmTiming{}, baseline_cfg());
   AddressMapper mapper(g);
   DecodedAddr d{0, 1, 3, 0, 0};
   EXPECT_EQ(arch.route(d, AccessType::kRead, false), mapper.flat_bank(d));
@@ -66,7 +65,7 @@ TEST(BaselinePcm, RoutesToFlatBank) {
 }
 
 TEST(BaselinePcm, NoRefreshHooks) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, baseline_cfg());
+  Architecture arch(small_geom(), PcmTiming{}, baseline_cfg());
   EXPECT_FALSE(arch.refresh_enabled());
   EXPECT_DOUBLE_EQ(arch.refresh_pending_fraction(0, 0), 0.0);
   const auto work = arch.perform_refresh(0, 0, [](unsigned) { return true; });
@@ -76,7 +75,7 @@ TEST(BaselinePcm, NoRefreshHooks) {
 
 TEST(BaselinePcm, RefreshResourcesCoverRankBanks) {
   const MemoryGeometry g = small_geom();
-  ComposedArchitecture arch(g, PcmTiming{}, baseline_cfg());
+  Architecture arch(g, PcmTiming{}, baseline_cfg());
   const auto res = arch.refresh_resources(0, 1);
   ASSERT_EQ(res.size(), g.banks_per_rank);
   EXPECT_EQ(res.front(), g.banks_per_rank);  // rank 1 starts after rank 0
@@ -87,12 +86,12 @@ TEST(BaselinePcm, IgnoresUnresolvableCodeName) {
   // as the monolithic BaselinePcm ignored it.
   ArchConfig cfg = baseline_cfg();
   cfg.code = "no-such-code";
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, cfg);
+  Architecture arch(small_geom(), PcmTiming{}, cfg);
   EXPECT_EQ(arch.code(), nullptr);
 }
 
 TEST(FlipNWrite, DefaultNeverFast) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.0, 1));
+  Architecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.0, 1));
   EXPECT_EQ(arch.name(), "flip-n-write");
   DecodedAddr d{0, 0, 0, 1, 0};
   for (int i = 0; i < 20; ++i) {
@@ -103,7 +102,7 @@ TEST(FlipNWrite, DefaultNeverFast) {
 }
 
 TEST(FlipNWrite, FastFractionRoughlyHonored) {
-  ComposedArchitecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.5, 7));
+  Architecture arch(small_geom(), PcmTiming{}, fnw_cfg(0.5, 7));
   DecodedAddr d{0, 0, 0, 1, 0};
   for (int i = 0; i < 2000; ++i) {
     arch.plan(d, AccessType::kWrite, false, 0);
@@ -114,8 +113,8 @@ TEST(FlipNWrite, FastFractionRoughlyHonored) {
 
 TEST(FlipNWrite, HalvesWriteEnergyVersusBaseline) {
   const MemoryGeometry g = small_geom();
-  ComposedArchitecture base(g, PcmTiming{}, baseline_cfg());
-  ComposedArchitecture fnw(g, PcmTiming{}, fnw_cfg(0.0, 1));
+  Architecture base(g, PcmTiming{}, baseline_cfg());
+  Architecture fnw(g, PcmTiming{}, fnw_cfg(0.0, 1));
   DecodedAddr d{0, 0, 0, 1, 0};
   for (int i = 0; i < 10; ++i) {
     base.plan(d, AccessType::kWrite, false, 0);

@@ -1,15 +1,18 @@
-// TagArray + ReplacementPolicy unit contract (DESIGN.md "Tag arrays &
+// TagArray + ReplacementState unit contract (DESIGN.md "Tag arrays &
 // tiered backends"): invalid ways fill before any victim is consulted,
 // LRU/FIFO/random order evictions as advertised, the random stream is a
-// pure function of its seed, and the bank_tag policy degenerates to the
-// WOM cache's 1-way overwrite scheme.
+// pure function of its seed, the bank_tag scheme degenerates to the WOM
+// cache's 1-way overwrite scheme, and every scheme picks the victims an
+// independent recency-list / RNG model picks over randomized hook streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "arch/tag_array.h"
+#include "common/rng.h"
 
 namespace wompcm {
 namespace {
@@ -127,6 +130,97 @@ TEST(TagArray, BankTagRejectsMultiWaySets) {
 TEST(TagArray, RejectsEmptyGeometry) {
   EXPECT_THROW(make(ReplacementKind::kLru, 0, 4), std::invalid_argument);
   EXPECT_THROW(make(ReplacementKind::kLru, 4, 0), std::invalid_argument);
+}
+
+// The reference the replacement schemes are checked against, written
+// independently of ReplacementState: per set, a recency list of the ways
+// that hold a recency mark (oldest first) beside the unmarked ways. LRU
+// marks on installs and hits, FIFO on installs only; an invalidated way
+// loses its mark. The victim is the lowest unmarked way if any, else the
+// oldest marked one. Random draws Rng(seed).next_below(ways) per victim;
+// bank_tag's only victim is way 0.
+class ReplacementModel {
+ public:
+  ReplacementModel(ReplacementKind kind, unsigned sets, unsigned ways,
+                   std::uint64_t seed)
+      : kind_(kind), ways_(ways), order_(sets), rng_(seed) {}
+
+  void touch(unsigned set, unsigned way) {
+    if (kind_ == ReplacementKind::kLru) mark(set, way);
+  }
+  void install(unsigned set, unsigned way) {
+    if (kind_ == ReplacementKind::kLru || kind_ == ReplacementKind::kFifo) {
+      mark(set, way);
+    }
+  }
+  void invalidate(unsigned set, unsigned way) { unmark(set, way); }
+  unsigned victim(unsigned set) {
+    if (kind_ == ReplacementKind::kBankTag) return 0;
+    if (kind_ == ReplacementKind::kRandom) {
+      return static_cast<unsigned>(rng_.next_below(ways_));
+    }
+    const std::vector<unsigned>& marked = order_[set];
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (std::find(marked.begin(), marked.end(), w) == marked.end()) return w;
+    }
+    return marked.front();
+  }
+
+ private:
+  void unmark(unsigned set, unsigned way) {
+    std::vector<unsigned>& marked = order_[set];
+    marked.erase(std::remove(marked.begin(), marked.end(), way), marked.end());
+  }
+  void mark(unsigned set, unsigned way) {
+    unmark(set, way);
+    order_[set].push_back(way);
+  }
+
+  ReplacementKind kind_;
+  unsigned ways_;
+  std::vector<std::vector<unsigned>> order_;
+  Rng rng_;
+};
+
+void expect_matches_model(ReplacementKind kind, unsigned sets, unsigned ways,
+                          std::uint64_t seed, std::uint64_t drive_seed) {
+  ReplacementState state(kind, sets, ways, seed);
+  ReplacementModel model(kind, sets, ways, seed);
+  Rng rng(drive_seed);
+  for (int i = 0; i < 4000; ++i) {
+    const unsigned set = static_cast<unsigned>(rng.next_below(sets));
+    const unsigned way = static_cast<unsigned>(rng.next_below(ways));
+    switch (rng.next_below(4)) {
+      case 0:
+        state.touch(set, way);
+        model.touch(set, way);
+        break;
+      case 1:
+        state.install(set, way);
+        model.install(set, way);
+        break;
+      case 2:
+        // The victim is the only observable result; for random it also
+        // locks the two RNG streams together.
+        ASSERT_EQ(state.victim(set), model.victim(set))
+            << to_string(kind) << " diverged at step " << i;
+        break;
+      case 3:
+        state.invalidate(set, way);
+        model.invalidate(set, way);
+        break;
+    }
+  }
+}
+
+TEST(TagArray, ReplacementStateMatchesIndependentModel) {
+  expect_matches_model(ReplacementKind::kBankTag, 64, 1, 7, 101);
+  expect_matches_model(ReplacementKind::kLru, 16, 4, 7, 102);
+  expect_matches_model(ReplacementKind::kLru, 1, 8, 9, 103);
+  expect_matches_model(ReplacementKind::kFifo, 16, 4, 7, 104);
+  expect_matches_model(ReplacementKind::kFifo, 32, 2, 9, 105);
+  expect_matches_model(ReplacementKind::kRandom, 16, 4, 7, 106);
+  expect_matches_model(ReplacementKind::kRandom, 8, 8, 1234, 107);
 }
 
 }  // namespace
