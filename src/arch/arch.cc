@@ -1,5 +1,6 @@
 #include "arch/arch.h"
 
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -109,23 +110,41 @@ Composition ArchConfig::resolved_composition() const {
   return canonical_composition(kind, organization);
 }
 
+Architecture::Regions Architecture::resolve_regions(const ArchConfig& cfg,
+                                                    std::uint64_t line_bits) {
+  // Each WOM-coded region resolves its code (main.code= / cache.code=
+  // override, else the shared code= key or the family default). A
+  // raw/fnw/symmetric region ignores cfg.code entirely: resolve_region_code
+  // returns an empty RegionCode for the non-WOM kinds without looking at
+  // the name.
+  Regions r;
+  r.comp = cfg.resolved_composition();
+  r.main = resolve_region_code(r.comp.main_coding, cfg.main_code, cfg.code,
+                               line_bits);
+  if (r.comp.cache_enabled) {
+    r.cache = resolve_region_code(r.comp.cache_coding, cfg.cache_code,
+                                  cfg.code, line_bits);
+  }
+  return r;
+}
+
 Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
                            const ArchConfig& cfg)
+    : Architecture(geom, timing, cfg,
+                   resolve_regions(cfg, geom.line_bytes() * 8ull)) {}
+
+Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
+                           const ArchConfig& cfg, Regions regions)
     : geom_(geom),
       mapper_(geom),
       timing_(timing),
-      wear_(geom.lines_per_row()),
+      // One wear quantum that every region's increments divide exactly.
+      wear_(geom.lines_per_row(), std::lcm(regions.main.wear_divisor,
+                                           regions.cache.wear_divisor)),
       row_key_stride_(geom.rows_per_bank + 1),
-      comp_(cfg.resolved_composition()),
-      // Each WOM-coded region resolves its code (main.code= / cache.code=
-      // override, else the shared code= key or the family default). A
-      // raw/fnw/symmetric region ignores cfg.code entirely:
-      // resolve_region_code returns an empty RegionCode for the non-WOM
-      // kinds without looking at the name.
+      comp_(regions.comp),
       main_coding_(comp_.main_coding, region_context(),
-                   resolve_region_code(comp_.main_coding, cfg.main_code,
-                                       cfg.code, line_bits()),
-                   geom.lines_per_row(), /*erased_start=*/false,
+                   std::move(regions.main), /*erased_start=*/false,
                    cfg.fnw_fast_fraction, cfg.seed) {
   // One energy bucket per channel: accumulation order within a channel plus
   // a channel-ordered fold is what keeps a sharded run's energy bit-equal
@@ -137,10 +156,7 @@ Architecture::Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
     // refresh continuously, so its untouched rows start erased.
     cache_ = std::make_unique<CacheLayer>(
         geom, CodingPolicy(comp_.cache_coding, region_context(),
-                           resolve_region_code(comp_.cache_coding,
-                                               cfg.cache_code, cfg.code,
-                                               line_bits()),
-                           geom.lines_per_row(), /*erased_start=*/true,
+                           std::move(regions.cache), /*erased_start=*/true,
                            cfg.fnw_fast_fraction, cfg.seed));
   }
   if (comp_.refresh == RefreshKind::kRat) {
@@ -417,17 +433,19 @@ unsigned Architecture::route(const DecodedAddr& dec, AccessType type,
 IssuePlan Architecture::plan_main_write(const DecodedAddr& dec,
                                                 bool internal, IssuePlan p) {
   std::uint64_t key = row_key_for(p.resource, p.row);
-  const WriteBegin rec = main_coding_.begin_write(key, dec.col, &p);
+  WriteBegin rec = main_coding_.begin_write(key, dec.col, &p);
   const FaultOutcome f =
       fault_on_write(p.resource, dec.channel, dec.col, /*allow_remap=*/true,
                      &p);
   if (f.remapped) {
     // The row moved to a fresh spare: start its generation there so the
-    // rewrite budget tracks the cells actually being programmed.
+    // rewrite budget tracks the cells actually being programmed. The
+    // write's state now lives at the spare's key, so the record located
+    // above is re-pointed there.
     key = row_key_for(p.resource, p.row);
-    main_coding_.note_remap(key, dec.col);
+    main_coding_.note_remap(&rec, key, dec.col);
   }
-  const bool at_limit = main_coding_.finish_write(rec, f.demoted, key, key,
+  const bool at_limit = main_coding_.finish_write(rec, f.demoted, key,
                                                  dec.col, internal, &p);
   if (at_limit && main_rat_ != nullptr) main_rat_->touch(p.resource, key);
   return p;
@@ -470,17 +488,15 @@ IssuePlan Architecture::plan_cache_write(const DecodedAddr& dec,
     bump(ctr_victims_, "wcpcm.victims");
     cache_->evict_lines(ci, dec.row);
   }
-  const std::uint64_t track_key = cache_->row_key(ci, dec.row);
+  const std::uint64_t key = cache_wear_key(ci, dec.row);
   CodingPolicy& coding = cache_->coding();
-  const WriteBegin rec = coding.begin_write(track_key, dec.col, &p);
+  const WriteBegin rec = coding.begin_write(key, dec.col, &p);
   // No spare pool behind the cache array: a dead verdict is handled below
   // by invalidate-and-bypass.
   const FaultOutcome f = fault_on_write(main_banks() + ci, dec.channel,
                                         dec.col, /*allow_remap=*/false, &p);
-  const bool at_limit =
-      coding.finish_write(rec, f.demoted, track_key,
-                          cache_wear_key(ci, dec.row), dec.col,
-                          /*internal=*/false, &p);
+  const bool at_limit = coding.finish_write(rec, f.demoted, key, dec.col,
+                                            /*internal=*/false, &p);
   if (f.dead_unmapped) {
     // The row can no longer be programmed reliably: retire it from cache
     // service. A miss already flushed the previous occupant; on a hit the
@@ -590,7 +606,7 @@ Architecture::RefreshWork Architecture::perform_refresh(
       const unsigned resource = base + b;
       if (!unit_ready(resource)) continue;  // demand in flight: skip the bank
       if (main_rat_->refresh_one(resource, [&](std::uint64_t key) {
-            return main_coding_.refresh_row(key, key);
+            return main_coding_.refresh_row(key);
           })) {
         ++work.rows;
         work.resources.push_back(resource);
@@ -608,8 +624,7 @@ Architecture::RefreshWork Architecture::perform_refresh(
             const unsigned r = static_cast<unsigned>(row);
             // Retired rows have nothing to refresh.
             if (faults_enabled() && cache_->row_dead(ci, r)) return false;
-            return cache_->coding().refresh_row(cache_->row_key(ci, r),
-                                                cache_wear_key(ci, r));
+            return cache_->coding().refresh_row(cache_wear_key(ci, r));
           })) {
         ++work.rows;
         work.resources.push_back(resource);

@@ -253,6 +253,18 @@ class Architecture {
   const FaultModel* fault_model() const { return fault_.get(); }
 
  private:
+  // The composition and region codes a config resolves to. Resolved ahead
+  // of the members: the wear tracker's quantum depends on both codes.
+  struct Regions {
+    Composition comp;
+    RegionCode main;
+    RegionCode cache;  // empty without a cache front end
+  };
+  static Regions resolve_regions(const ArchConfig& cfg,
+                                 std::uint64_t line_bits);
+  Architecture(const MemoryGeometry& geom, const PcmTiming& timing,
+               const ArchConfig& cfg, Regions regions);
+
   unsigned main_banks() const { return mapper_.num_flat_banks(); }
   unsigned flat_bank(const DecodedAddr& dec) const {
     return mapper_.flat_bank(dec);
@@ -271,8 +283,9 @@ class Architecture {
   unsigned cache_resource(unsigned channel, unsigned rank) const {
     return main_banks() + cache_->index(channel, rank);
   }
-  // Wear/fault row key for a cache row, disjoint from main-memory keys
-  // (cache arrays are keyed as banks appended after the main banks).
+  // Row-table key of a cache row (its generations, wear and fault state),
+  // disjoint from main-memory keys (cache arrays are keyed as banks
+  // appended after the main banks).
   std::uint64_t cache_wear_key(unsigned cache_idx, unsigned row) const {
     return row_key_for(main_banks() + cache_idx, row);
   }

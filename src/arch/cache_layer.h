@@ -69,12 +69,6 @@ class CacheLayer final {
   // mark the line valid.
   void install(unsigned cache_idx, unsigned row, unsigned bank, unsigned line);
 
-  // Tracker key of a cache row — local to the cache arrays (the wear/fault
-  // key space is the owning architecture's row_key_for, disjoint from this).
-  std::uint64_t row_key(unsigned cache_idx, unsigned row) const {
-    return static_cast<std::uint64_t>(cache_idx) * rows_per_bank_ + row;
-  }
-
   // Cache rows have no spare pool behind them: a dead row is invalidated
   // and bypassed (writes latch through to main memory) instead of remapped.
   bool row_dead(unsigned cache_idx, unsigned row) const {
@@ -92,6 +86,13 @@ class CacheLayer final {
 
  private:
   using LineBits = std::vector<std::uint64_t>;
+
+  // Dead-row set key of a cache row — local to the cache arrays (the row's
+  // generations, wear and fault state live under the owning architecture's
+  // cache_wear_key).
+  std::uint64_t row_key(unsigned cache_idx, unsigned row) const {
+    return static_cast<std::uint64_t>(cache_idx) * rows_per_bank_ + row;
+  }
 
   unsigned ranks_;
   unsigned rows_per_bank_;

@@ -10,6 +10,7 @@
 // and nothing else can be built.
 #pragma once
 
+#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,12 +35,11 @@ class RawCoding : public CodingBase {
   WriteBegin begin_write(std::uint64_t, unsigned, IssuePlan* p) {
     p->write_class = WriteClass::kAlpha;
     p->program_ns = ctx_.timing->row_write_ns;
-    return {WriteClass::kAlpha, false};
+    return {WriteClass::kAlpha, false, {}};
   }
 
-  bool finish_write(const WriteBegin&, bool, std::uint64_t,
-                    std::uint64_t wear_key, unsigned line, bool internal,
-                    IssuePlan*) {
+  bool finish_write(const WriteBegin&, bool, std::uint64_t key, unsigned line,
+                    bool internal, IssuePlan*) {
     if (internal) {
       bump(ctr_victim_, "writes.victim");
     } else {
@@ -47,7 +47,7 @@ class RawCoding : public CodingBase {
     }
     ctx_.energy->on_write(WriteClass::kAlpha, ctx_.line_bits);
     // A conventional bit-alterable write flips about half the cells.
-    ctx_.wear->on_write_pulses(wear_key, line, kResetOnlyWearPerCell);
+    ctx_.wear->on_write_pulses(key, line, kResetOnlyWearPerCell);
     return false;
   }
 
@@ -67,12 +67,11 @@ class SymmetricCoding : public CodingBase {
   WriteBegin begin_write(std::uint64_t, unsigned, IssuePlan* p) {
     p->write_class = WriteClass::kResetOnly;
     p->program_ns = ctx_.timing->reset_ns;
-    return {WriteClass::kResetOnly, false};
+    return {WriteClass::kResetOnly, false, {}};
   }
 
-  bool finish_write(const WriteBegin&, bool, std::uint64_t,
-                    std::uint64_t wear_key, unsigned line, bool internal,
-                    IssuePlan* p) {
+  bool finish_write(const WriteBegin&, bool, std::uint64_t key, unsigned line,
+                    bool internal, IssuePlan* p) {
     if (internal) {
       bump(ctr_victim_, "writes.victim");
     } else {
@@ -80,7 +79,7 @@ class SymmetricCoding : public CodingBase {
     }
     // Post-fault class: a demoted write is charged at the alpha rate.
     ctx_.energy->on_write(p->write_class, ctx_.line_bits);
-    ctx_.wear->on_write_pulses(wear_key, line, kResetOnlyWearPerCell);
+    ctx_.wear->on_write_pulses(key, line, kResetOnlyWearPerCell);
     return false;
   }
 
@@ -117,12 +116,11 @@ class FnwCoding : public CodingBase {
     const bool fast = fast_fraction_ > 0.0 && rng.next_bool(fast_fraction_);
     p->write_class = fast ? WriteClass::kResetOnly : WriteClass::kAlpha;
     p->program_ns = ctx_.timing->program_ns(p->write_class);
-    return {p->write_class, false};
+    return {p->write_class, false, {}};
   }
 
-  bool finish_write(const WriteBegin& rec, bool, std::uint64_t,
-                    std::uint64_t wear_key, unsigned line, bool internal,
-                    IssuePlan* p) {
+  bool finish_write(const WriteBegin& rec, bool, std::uint64_t key,
+                    unsigned line, bool internal, IssuePlan* p) {
     if (internal) {
       bump(ctr_victim_, "writes.victim");
     } else if (rec.cls == WriteClass::kResetOnly) {
@@ -132,7 +130,7 @@ class FnwCoding : public CodingBase {
     }
     // Flip-N-Write programs at most half the line's bits.
     ctx_.energy->on_write(p->write_class, ctx_.line_bits / 2);
-    ctx_.wear->on_write_pulses(wear_key, line, kResetOnlyWearPerCell / 2);
+    ctx_.wear->on_write_pulses(key, line, kResetOnlyWearPerCell / 2);
     return false;
   }
 
@@ -152,10 +150,14 @@ class FnwCoding : public CodingBase {
 // budgeted sections, but every write programs the whole line and refresh
 // clears whole rows, so all sections of a line share one generation and
 // the line's slot classes the write exactly as the sections would.
+//
+// The generations live in the architecture's per-row table next to the
+// row's wear: begin_write locates the record once and finish_write charges
+// the wear and reads the at-limit count through it.
 class WomCoding : public CodingBase {
  public:
   WomCoding(const RegionContext& ctx, CodingKind kind, RegionCode rc,
-            unsigned lines_per_row, bool erased_start)
+            bool erased_start)
       : CodingBase(ctx),
         kind_(kind),
         code_(std::move(rc.code)),
@@ -163,14 +165,21 @@ class WomCoding : public CodingBase {
         data_bits_(rc.data_bits),
         wits_(rc.wits),
         max_writes_(rc.max_writes),
-        wear_bound_(rc.wear_bound),
         lut_(rc.lut),
         hidden_(kind == CodingKind::kWomHidden),
-        tracker_(rc.max_writes >= 1 ? rc.max_writes : 1, lines_per_row,
+        tracker_(rc.max_writes >= 1 ? rc.max_writes : 1, ctx.wear->rows(),
                  erased_start) {
     if (data_bits_ == 0 || wits_ == 0 || max_writes_ == 0) {
       throw std::invalid_argument("WomCoding: null code");
     }
+    // A wear-bounded family (time-space constrained) touches at most 1/R of
+    // the region's cells per write: the per-cell wear rates scale by 1/R,
+    // exactly, since the architecture's wear quantum divides by every
+    // region's R.
+    reset_quanta_ = ctx.wear->quanta(kResetOnlyWearPerCell) / rc.wear_divisor;
+    alpha_quanta_ = ctx.wear->quanta(kAlphaWearPerCell) / rc.wear_divisor;
+    assert(reset_quanta_ * rc.wear_divisor ==
+           ctx.wear->quanta(kResetOnlyWearPerCell));
   }
 
   CodingKind kind() const { return kind_; }
@@ -180,20 +189,18 @@ class WomCoding : public CodingBase {
   const WomCode* code() const { return code_.get(); }
   std::string code_name() const { return name_; }
 
-  WriteBegin begin_write(std::uint64_t track_key, unsigned line,
-                         IssuePlan* p) {
-    const auto rec = tracker_.record_write(track_key, line);
+  WriteBegin begin_write(std::uint64_t key, unsigned line, IssuePlan* p) {
+    const auto rec = tracker_.record_write(key, line);
     p->write_class = rec.cls;
     p->program_ns = ctx_.timing->program_ns(rec.cls);
-    return {rec.cls, rec.cold};
+    return {rec.cls, rec.cold, rec.row};
   }
 
-  void note_remap(std::uint64_t track_key, unsigned line) {
-    tracker_.record_write(track_key, line);
+  void note_remap(WriteBegin* rec, std::uint64_t key, unsigned line) {
+    rec->row = tracker_.record_write(key, line).row;
   }
 
-  bool finish_write(const WriteBegin& rec, bool demoted,
-                    std::uint64_t track_key, std::uint64_t wear_key,
+  bool finish_write(const WriteBegin& rec, bool demoted, std::uint64_t,
                     unsigned line, bool internal, IssuePlan* p) {
     if (internal) {
       bump(ctr_victim_, "writes.victim");
@@ -213,18 +220,9 @@ class WomCoding : public CodingBase {
       bump(ctr_lut_fallbacks_, "codec.lut_fallbacks");
     }
     ctx_.energy->on_write(p->write_class, coded_line_bits());
-    if (wear_bound_ == 1.0) {
-      ctx_.wear->on_write(wear_key, line, p->write_class);
-    } else {
-      // A wear-bounded family (time-space constrained) touches at most
-      // wear_bound_ of the region's cells per write — scale the per-cell
-      // wear rates accordingly.
-      ctx_.wear->on_write_pulses(
-          wear_key, line,
-          (p->write_class == WriteClass::kResetOnly ? kResetOnlyWearPerCell
-                                                    : kAlphaWearPerCell) *
-              wear_bound_);
-    }
+    ctx_.wear->add(rec.row, line,
+                   p->write_class == WriteClass::kResetOnly ? reset_quanta_
+                                                            : alpha_quanta_);
     if (hidden_) {
       // The upper half-codeword lives in a hidden page the controller
       // reserves in a parallel bank region, so its program overlaps the
@@ -233,7 +231,7 @@ class WomCoding : public CodingBase {
       p->post_ns += ctx_.timing->burst_ns() + ctx_.timing->tag_check_ns;
       bump(ctr_hidden_writes_, "hidden_page.extra_writes");
     }
-    return tracker_.row_has_limit_lines(track_key);
+    return rec.row.at_limit() > 0;
   }
 
   void read_energy(IssuePlan*) {
@@ -248,10 +246,13 @@ class WomCoding : public CodingBase {
     bump(ctr_hidden_reads_, "hidden_page.extra_reads");
   }
 
-  bool refresh_row(std::uint64_t track_key, std::uint64_t wear_key) {
-    if (!tracker_.refresh(track_key)) return false;
+  // One probe and one walk over the row's record: a row the region never
+  // wrote has none and is left alone.
+  bool refresh_row(std::uint64_t key) {
+    const RowTable::Row r = ctx_.wear->rows().find(key);
+    if (!tracker_.refresh(r)) return false;
     ctx_.energy->on_refresh(coded_line_bits());
-    ctx_.wear->on_refresh(wear_key);
+    ctx_.wear->on_refresh(r);
     return true;
   }
 
@@ -269,7 +270,8 @@ class WomCoding : public CodingBase {
   unsigned data_bits_;
   unsigned wits_;
   unsigned max_writes_;
-  double wear_bound_;
+  std::uint32_t reset_quanta_;  // wear of one RESET-only write
+  std::uint32_t alpha_quanta_;  // wear of one alpha write
   bool lut_;
   bool hidden_;
   WomStateTracker tracker_;
@@ -290,8 +292,8 @@ class CodingPolicy {
   // ignored by the others; `erased_start` seeds untouched rows as erased
   // (the boot-formatted WOM-cache) instead of unknown.
   CodingPolicy(CodingKind kind, const RegionContext& ctx, RegionCode code,
-               unsigned lines_per_row, bool erased_start,
-               double fnw_fast_fraction, std::uint64_t seed);
+               bool erased_start, double fnw_fast_fraction,
+               std::uint64_t seed);
 
   CodingKind kind() const {
     return std::visit([](const auto& c) { return c.kind(); }, impl_);
@@ -301,28 +303,26 @@ class CodingPolicy {
     return std::visit([](const auto& c) { return c.overhead(); }, impl_);
   }
 
-  WriteBegin begin_write(std::uint64_t track_key, unsigned line,
-                         IssuePlan* p) {
-    return std::visit(
-        [&](auto& c) { return c.begin_write(track_key, line, p); }, impl_);
+  // `key` is the row's key in the architecture's per-row table (its wear
+  // and fault key too).
+  WriteBegin begin_write(std::uint64_t key, unsigned line, IssuePlan* p) {
+    return std::visit([&](auto& c) { return c.begin_write(key, line, p); },
+                      impl_);
   }
-  void note_remap(std::uint64_t track_key, unsigned line) {
-    std::visit([&](auto& c) { c.note_remap(track_key, line); }, impl_);
+  void note_remap(WriteBegin* rec, std::uint64_t key, unsigned line) {
+    std::visit([&](auto& c) { c.note_remap(rec, key, line); }, impl_);
   }
   // `demoted` is the fault pipeline's fast-path demotion verdict;
   // `internal` marks controller-spawned writes (cache victims and dead-row
   // bypasses), which count as "writes.victim" instead of the demand
-  // classes. `wear_key` is the region's wear/fault key for the row
-  // (identical to track_key for main memory; disjoint for the cache, whose
-  // tracker keys are array-local). Returns true when the write left the row
-  // with lines at the rewrite limit — a refresh candidate.
-  bool finish_write(const WriteBegin& rec, bool demoted,
-                    std::uint64_t track_key, std::uint64_t wear_key,
+  // classes. `key` is the key the write's state lives at (the spare's after
+  // a remap). Returns true when the write left the row with lines at the
+  // rewrite limit — a refresh candidate.
+  bool finish_write(const WriteBegin& rec, bool demoted, std::uint64_t key,
                     unsigned line, bool internal, IssuePlan* p) {
     return std::visit(
         [&](auto& c) {
-          return c.finish_write(rec, demoted, track_key, wear_key, line,
-                                internal, p);
+          return c.finish_write(rec, demoted, key, line, internal, p);
         },
         impl_);
   }
@@ -335,9 +335,8 @@ class CodingPolicy {
     std::visit([&](auto& c) { c.read_extras(p); }, impl_);
   }
 
-  bool refresh_row(std::uint64_t track_key, std::uint64_t wear_key) {
-    return std::visit(
-        [&](auto& c) { return c.refresh_row(track_key, wear_key); }, impl_);
+  bool refresh_row(std::uint64_t key) {
+    return std::visit([&](auto& c) { return c.refresh_row(key); }, impl_);
   }
   bool refreshable() const {
     return std::visit([](const auto& c) { return c.refreshable(); }, impl_);
@@ -353,8 +352,8 @@ class CodingPolicy {
   using Impl = std::variant<RawCoding, SymmetricCoding, FnwCoding, WomCoding>;
 
   static Impl make(CodingKind kind, const RegionContext& ctx, RegionCode code,
-                   unsigned lines_per_row, bool erased_start,
-                   double fnw_fast_fraction, std::uint64_t seed);
+                   bool erased_start, double fnw_fast_fraction,
+                   std::uint64_t seed);
 
   Impl impl_;
 };

@@ -155,7 +155,7 @@ RegionCode resolve_region_code(CodingKind kind,
   rc.data_bits = info.data_bits;
   rc.wits = info.wits;
   rc.max_writes = info.max_writes;
-  rc.wear_bound = info.wear_bound;
+  rc.wear_divisor = info.wear_divisor;
   rc.lut = info.lut;
   if (kind != CodingKind::kTsConstrained) {
     // The classic kinds (and polar) are symbol codes; keep the shared
@@ -166,15 +166,13 @@ RegionCode resolve_region_code(CodingKind kind,
 }
 
 CodingPolicy::CodingPolicy(CodingKind kind, const RegionContext& ctx,
-                           RegionCode code, unsigned lines_per_row,
-                           bool erased_start, double fnw_fast_fraction,
-                           std::uint64_t seed)
-    : impl_(make(kind, ctx, std::move(code), lines_per_row, erased_start,
-                 fnw_fast_fraction, seed)) {}
+                           RegionCode code, bool erased_start,
+                           double fnw_fast_fraction, std::uint64_t seed)
+    : impl_(make(kind, ctx, std::move(code), erased_start, fnw_fast_fraction,
+                 seed)) {}
 
 CodingPolicy::Impl CodingPolicy::make(CodingKind kind, const RegionContext& ctx,
-                                      RegionCode code, unsigned lines_per_row,
-                                      bool erased_start,
+                                      RegionCode code, bool erased_start,
                                       double fnw_fast_fraction,
                                       std::uint64_t seed) {
   switch (kind) {
@@ -189,7 +187,7 @@ CodingPolicy::Impl CodingPolicy::make(CodingKind kind, const RegionContext& ctx,
     case CodingKind::kPolar:
     case CodingKind::kTsConstrained:
       return Impl(std::in_place_type<WomCoding>, ctx, kind, std::move(code),
-                  lines_per_row, erased_start);
+                  erased_start);
   }
   throw std::invalid_argument("unknown coding kind");
 }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/address.h"
+#include "common/row_table.h"
 #include "common/types.h"
 #include "pcm/endurance.h"
 #include "pcm/energy.h"
@@ -96,11 +97,14 @@ struct RegionContext {
 };
 
 // The decision made before the fault pipeline runs: the class the coding
-// scheme chose (faults may later demote kResetOnly to kAlpha) and whether
-// it was a cold alpha (first touch of an unknown-state line).
+// scheme chose (faults may later demote kResetOnly to kAlpha), whether it
+// was a cold alpha (first touch of an unknown-state line), and the row's
+// record in the per-row table when the coding located it (WOM codings), so
+// finish_write needs no second probe.
 struct WriteBegin {
   WriteClass cls = WriteClass::kAlpha;
   bool cold = false;
+  RowTable::Row row;
 };
 
 // State and default hooks every coding shares. Not a polymorphic base: each
@@ -111,8 +115,9 @@ class CodingBase {
   explicit CodingBase(const RegionContext& ctx) : ctx_(ctx) {}
 
   // The fault pipeline moved the row onto a fresh spare: re-record there so
-  // the rewrite budget tracks the cells actually being programmed.
-  void note_remap(std::uint64_t, unsigned) {}
+  // the rewrite budget tracks the cells actually being programmed. The
+  // write's state now lives at the spare's key, so `rec` is re-pointed.
+  void note_remap(WriteBegin*, std::uint64_t, unsigned) {}
   // Read-path energy of an uncoded line (the caller owns the read
   // counters); WomCoding reads its coded width instead.
   void read_energy(IssuePlan*) { ctx_.energy->on_read(ctx_.line_bits); }
@@ -121,7 +126,7 @@ class CodingBase {
   // PCM-refresh support: re-initializes one row's codewords. Returns false
   // when the scheme has no refreshable generation state, or when the row
   // had no lines at the limit (a stale RAT entry).
-  bool refresh_row(std::uint64_t, std::uint64_t) { return false; }
+  bool refresh_row(std::uint64_t) { return false; }
   bool refreshable() const { return false; }
   // The symbol code behind a WOM-coded region and its name; null / empty
   // otherwise.
@@ -154,7 +159,8 @@ struct RegionCode {
   unsigned data_bits = 0;    // k per section
   unsigned wits = 0;         // n per section
   unsigned max_writes = 0;   // t per section
-  double wear_bound = 1.0;   // fraction of cells an in-budget write touches
+  unsigned wear_divisor = 1;  // an in-budget write touches 1/divisor of
+                              // the cells (R for tsc-...xR codes)
   bool lut = false;          // EncodeLut fast path behind the encode
   WomCodePtr code;           // null for native block families
 };

@@ -103,6 +103,7 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
   const unsigned workers = executors_ - 1;
   pool_ = std::make_unique<ThreadPool>(workers);
   worker_codec_.reserve(workers);
+  worker_error_.resize(workers);
   for (unsigned w = 1; w <= workers; ++w) {
     worker_codec_.push_back(pool_->submit([this, w, channels]() {
       // Report the codec time this worker's shards accumulate (it lands in
@@ -113,7 +114,11 @@ ShardedBackend::ShardedBackend(const SimConfig& cfg, unsigned jobs) {
         wait_for_epoch(bar_, seen);
         ++seen;
         if (round_.stop) break;
-        for (unsigned c = w; c < channels; c += executors_) run_lane(c);
+        try {
+          for (unsigned c = w; c < channels; c += executors_) run_lane(c);
+        } catch (...) {
+          worker_error_[w - 1] = std::current_exception();
+        }
         bar_.done.fetch_add(1, std::memory_order_release);
       }
       return perf::codec_ns() - codec_start;
@@ -135,6 +140,22 @@ void ShardedBackend::retire_workers() {
 void ShardedBackend::start_round() {
   bar_.done.store(0, std::memory_order_relaxed);
   bar_.epoch.fetch_add(1, std::memory_order_release);
+}
+
+void ShardedBackend::run_round() {
+  start_round();
+  std::exception_ptr error;
+  try {
+    for (unsigned c = 0; c < num_channels(); c += executors_) run_lane(c);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  wait_for_done(bar_, executors_ - 1);
+  for (std::exception_ptr& e : worker_error_) {
+    if (error == nullptr) error = e;
+    e = nullptr;
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 void ShardedBackend::run_lane(unsigned c) {
@@ -204,9 +225,7 @@ void ShardedBackend::tick(Tick now) {
   }
   round_.window = false;
   round_.now = now;
-  start_round();
-  for (unsigned c = 0; c < channels; c += executors_) run_lane(c);
-  wait_for_done(bar_, executors_ - 1);
+  run_round();
 }
 
 Tick ShardedBackend::run_window(
@@ -234,9 +253,7 @@ Tick ShardedBackend::run_window(
   round_.from = from;
   round_.until = until;
   round_.arrivals = &arrivals;
-  start_round();
-  for (unsigned c = 0; c < channels; c += executors_) run_lane(c);
-  wait_for_done(bar_, executors_ - 1);
+  run_round();
   Tick last = from;
   for (const auto& lane : lanes_) last = std::max(last, lane->last);
   return last;

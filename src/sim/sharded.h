@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <string>
@@ -122,6 +123,10 @@ class ShardedBackend final : public SimBackend {
   static void wait_for_done(const Barrier& bar, unsigned workers);
   // Publishes round_ to the workers and starts the round.
   void start_round();
+  // Runs one gang round over every lane and waits for it to finish. An
+  // exception a lane throws (on any executor) is rethrown here once the
+  // round is over, so no worker still runs against the caller's state.
+  void run_round();
   // Runs lane c's share of the current round.
   void run_lane(unsigned c);
   void retire_workers();
@@ -134,6 +139,7 @@ class ShardedBackend final : public SimBackend {
   Barrier bar_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::future<std::uint64_t>> worker_codec_;
+  std::vector<std::exception_ptr> worker_error_;  // per worker, last round
   std::uint64_t worker_codec_ns_ = 0;
   bool retired_ = false;
 };

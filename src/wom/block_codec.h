@@ -60,10 +60,13 @@ class BlockCodec {
   // lookups); false if it takes the virtual/structural encode path.
   virtual bool lut_backed() const = 0;
 
-  // Fraction of the section's cells an in-budget write may touch, in [0, 1].
-  // Time-space constrained codes bound per-cell write frequency, which the
-  // fault model consumes as a wear bound; unconstrained codes return 1.
-  virtual double wear_bound() const { return 1.0; }
+  // An in-budget write touches at most 1/wear_divisor() of the section's
+  // cells. Time-space constrained codes bound per-cell write frequency,
+  // which the wear model consumes as this integer divisor (exact wear
+  // quanta, pcm/endurance.h); unconstrained codes return 1.
+  virtual unsigned wear_divisor() const { return 1; }
+  // The same bound as a fraction of the cells, in (0, 1].
+  double wear_bound() const { return 1.0 / wear_divisor(); }
 
   // Capacity overhead relative to uncoded storage, e.g. 0.5 for <2^2>^2/3.
   double overhead() const {

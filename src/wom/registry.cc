@@ -155,6 +155,7 @@ CodeInfo code_info(const std::string& name) {
   info.max_writes = codec->max_writes();
   info.overhead = codec->overhead();
   info.wear_bound = codec->wear_bound();
+  info.wear_divisor = codec->wear_divisor();
   info.lut = codec->lut_backed();
   info.inverted = !codec->raises_bits();
   return info;

@@ -41,6 +41,7 @@ struct CodeInfo {
   unsigned max_writes = 0;  // t
   double overhead = 0.0;    // n/k - 1
   double wear_bound = 1.0;  // fraction of cells an in-budget write may touch
+  unsigned wear_divisor = 1;  // 1 / wear_bound
   bool lut = false;         // dense EncodeLut fast path available
   bool inverted = false;    // writes lower bits (RESET-only rewrites)
 };

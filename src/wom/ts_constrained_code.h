@@ -6,7 +6,7 @@
 // and successive writes rotate through the replicas — writes
 // [q*t_base, (q+1)*t_base) land in replica q, so any individual cell is
 // programmed during at most a 1/R fraction of the section's life. That
-// budget is surfaced to the fault model as wear_bound() = 1/R: the same
+// budget is surfaced to the wear model as wear_divisor() = R: the same
 // write traffic ages each cell R times slower, trading capacity (overhead
 // grows R-fold) for endurance — the paper's space axis of the time-space
 // constraint.
@@ -51,7 +51,7 @@ class TsConstrainedCodec final : public BlockCodec {
   }
   bool raises_bits() const override { return base_->raises_bits(); }
   bool lut_backed() const override { return lut_ != nullptr; }
-  double wear_bound() const override { return 1.0 / replicas_; }
+  unsigned wear_divisor() const override { return replicas_; }
 
   SectionWrite erase_section(BitVec& image,
                              std::size_t section) const override;

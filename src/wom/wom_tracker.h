@@ -20,13 +20,15 @@
 // every write programs the whole line, rows start uniform and refresh clears
 // whole rows, so all sections of a line always share one generation.
 //
-// Rows are tracked lazily in a hash map keyed by a flat row id.
+// The generations live in the owning architecture's per-row table
+// (common/row_table.h), next to the row's wear, so a write locates its row
+// with one probe.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
-#include "common/flat_map.h"
+#include "common/row_table.h"
 #include "common/types.h"
 
 namespace wompcm {
@@ -36,69 +38,60 @@ class WomStateTracker {
   // erased_start: lines of untouched rows count as erased (generation 0)
   // rather than unknown. Used for the WOM-cache, whose small array is
   // formatted at boot and cycles through refresh continuously; main-memory
-  // trackers keep the conservative unknown-start semantics.
+  // trackers keep the conservative unknown-start semantics. A fresh
+  // record's generations read kUnknownGen, and an erased-start tracker
+  // reads that as 0: the table is shared, the start state is the region's.
+  //
+  // The tracker keeps its generations in `rows`, which must outlive it.
+  WomStateTracker(unsigned max_writes, RowTable& rows,
+                  bool erased_start = false);
+  // A tracker with a table of its own (standalone use).
   WomStateTracker(unsigned max_writes, unsigned lines_per_row,
                   bool erased_start = false);
 
   unsigned max_writes() const { return t_; }
-  unsigned lines_per_row() const { return lines_; }
+  unsigned lines_per_row() const { return rows_->lines(); }
 
   struct WriteRecord {
     WriteClass cls = WriteClass::kResetOnly;
     bool cold = false;  // alpha on a never-touched line (not refreshable)
+    RowTable::Row row;  // the written row's record
   };
 
   // Records a demand write to line `line` of `row` and returns its class.
   WriteRecord record_write(RowKey row, unsigned line);
 
-  // Classifies what the next write to (row, line) would be, without
-  // recording it.
-  WriteClass peek_write(RowKey row, unsigned line) const;
-
   // Generation of one line; kUnknownGen if never written nor refreshed.
-  static constexpr unsigned kUnknownGen = 0xFF;
+  static constexpr unsigned kUnknownGen = RowTable::kUnknownGen;
   unsigned generation(RowKey row, unsigned line) const;
 
   // True if any line of `row` is at the rewrite limit (the row belongs in
   // the refresh row-address table).
-  bool row_has_limit_lines(RowKey row) const;
+  bool row_has_limit_lines(RowKey row) const {
+    const RowTable::Row r = rows_->find(row);
+    return r && r.at_limit() > 0;
+  }
 
   // PCM-refresh: pre-erases every codeword of the row so subsequent writes
   // take the RESET-only path. Returns true if the row still had lines at
-  // the rewrite limit (i.e. the refresh was useful).
-  bool refresh(RowKey row);
+  // the rewrite limit (i.e. the refresh was useful). A row with no record
+  // (never written) is left alone.
+  bool refresh(RowKey row) { return refresh(rows_->find(row)); }
+  bool refresh(RowTable::Row r);
 
   // Statistics.
   std::uint64_t writes() const { return writes_; }
   std::uint64_t alpha_writes() const { return alpha_writes_; }
   std::uint64_t cold_alpha_writes() const { return cold_alpha_writes_; }
-  std::uint64_t refreshes() const { return refreshes_; }
-  std::size_t tracked_rows() const { return rows_.size(); }
 
  private:
-  // Per-row state lives in parallel slab arrays indexed by a 1-based slab
-  // id (the row index map's default 0 means "no state yet"): generations
-  // are lines_ contiguous bytes in gen_, the at-limit line count a single
-  // entry in at_limit_. One hash probe per operation; a refresh resets the
-  // row with one sequential fill.
-  std::size_t slab_id(RowKey row);  // allocates on first touch
-  std::uint8_t* gen_slab(std::size_t id) {
-    return gen_.data() + (id - 1) * lines_;
-  }
-  const std::uint8_t* gen_slab(std::size_t id) const {
-    return gen_.data() + (id - 1) * lines_;
-  }
-
+  std::unique_ptr<RowTable> own_;  // set only for a standalone tracker
+  RowTable* rows_;
   unsigned t_;
-  unsigned lines_;
   bool erased_start_;
-  FlatMap64<std::uint32_t> rows_;     // row key -> 1-based slab id
-  std::vector<std::uint8_t> gen_;     // slabs of lines_ generations
-  std::vector<unsigned> at_limit_;    // per slab: lines at generation t
   std::uint64_t writes_ = 0;
   std::uint64_t alpha_writes_ = 0;
   std::uint64_t cold_alpha_writes_ = 0;
-  std::uint64_t refreshes_ = 0;
 };
 
 }  // namespace wompcm

@@ -14,6 +14,7 @@
 #include "arch/arch.h"
 #include "common/rng.h"
 #include "controller/controller.h"
+#include "pcm/endurance.h"
 #include "wom/page_codec.h"
 #include "wom/registry.h"
 
@@ -140,9 +141,24 @@ TEST(CodecAllocation, TsConstrainedWriteAndReadAreAllocationFree) {
       << " allocations across 32 ts-constrained write/read pairs";
 }
 
+// The fault model reads a line's wear on every write to classify it: the
+// lookup is const, allocates nothing, and creates no record.
+TEST(WearAllocation, LineWearLookupIsAllocationFree) {
+  WearTracker wear(8);
+  wear.on_write_pulses(1, 0, kResetOnlyWearPerCell);
+  const WearTracker& view = wear;
+  const std::uint64_t before = g_allocations.load();
+  double sum = 0.0;
+  for (RowKey row = 0; row < 64; ++row) sum += view.line_wear(row, 0);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(sum, kResetOnlyWearPerCell);
+  EXPECT_EQ(wear.rows().size(), 1u);
+}
+
 // The controller/queue steady state must be allocation-free per transaction
 // too: the indexed queues, readiness bitmaps, event heap, counter slots,
-// and the WOM/wear slab trackers all pre-reserve or bind on first touch, so
+// and the per-row state table all pre-reserve or bind on first touch, so
 // once the working set is warm, enqueue -> schedule -> complete touches the
 // allocator zero times. (WCPCM is exercised elsewhere; its victim
 // write-backs spawn transactions, which is an allocation by design.)
@@ -194,8 +210,8 @@ TEST(ControllerAllocation, SteadyStateTransactionsAreAllocationFree) {
   };
 
   // Warmup: touch every row/line of the working set, cross the WOM rewrite
-  // limit (alpha writes) several times so every counter slot, slab, queue
-  // index, and event-heap high-water mark exists before the window.
+  // limit (alpha writes) several times so every counter slot, row record,
+  // queue index, and event-heap high-water mark exists before the window.
   for (int i = 0; i < 16; ++i) pass();
 
   const std::uint64_t before = g_allocations.load();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "pcm/endurance.h"
 
@@ -86,6 +87,59 @@ TEST(WearTracker, AlphaHeavyArchitectureWearsFaster) {
   // hot line ends up with comparable total cycling.
   EXPECT_NEAR(refreshed.max_line_wear(), wom.max_line_wear(), 26.0);
   EXPECT_GT(refreshed.total_wear(), wom.total_wear());
+}
+
+TEST(WearTracker, LineCountRejectsOverflowInsteadOfWrapping) {
+  // Wear divisor 8: quanta of 1/32 cycle, so one line's 32-bit count holds
+  // (2^32 - 2) / 32 cycles, just under 2^27. One call reaches the cap.
+  WearTracker w(4, /*wear_divisor=*/8);
+  const double cap = static_cast<double>(0xFFFFFFFEu) / 32.0;
+  w.on_write_pulses(1, 0, cap);
+  EXPECT_EQ(w.line_wear(1, 0), cap);
+  EXPECT_THROW(w.on_write_pulses(1, 0, kResetOnlyWearPerCell),
+               std::overflow_error);
+  EXPECT_THROW(w.on_write(1, 0, WriteClass::kAlpha), std::overflow_error);
+  // A rejected increment changes nothing.
+  EXPECT_EQ(w.line_wear(1, 0), cap);
+  EXPECT_EQ(w.total_wear(), cap);
+  EXPECT_EQ(w.max_line_wear(), cap);
+  EXPECT_EQ(w.touched_lines(), 1u);
+  // A single increment past the cap is rejected on a fresh line too, and
+  // other lines keep counting.
+  EXPECT_THROW(w.on_write_pulses(2, 0, cap + 1.0), std::overflow_error);
+  w.on_write_pulses(1, 1, kAlphaWearPerCell);
+  EXPECT_EQ(w.line_wear(1, 1), kAlphaWearPerCell);
+  EXPECT_EQ(w.touched_lines(), 2u);
+}
+
+TEST(WearTracker, RejectsIncrementsThatAreNotWholeQuanta) {
+  WearTracker w(4);  // quanta of 1/4 cycle
+  EXPECT_THROW(w.on_write_pulses(1, 0, 1.0 / 3.0), std::invalid_argument);
+  EXPECT_THROW(w.on_write_pulses(1, 0, -0.5), std::invalid_argument);
+  EXPECT_EQ(w.quanta(kResetOnlyWearPerCell / 2), 1u);
+  WearTracker thirds(4, /*wear_divisor=*/3);  // quanta of 1/12 cycle
+  EXPECT_EQ(thirds.quanta(kAlphaWearPerCell), 12u);
+}
+
+TEST(WearTracker, NonDyadicSumsAreExactAndOrderFree) {
+  // A time-space constrained code with 3 replicas charges 1/6 cycle per
+  // RESET-only write. Counted in 1/12-cycle quanta, the same increments
+  // give the same total in any order, split over any number of trackers.
+  WearTracker serial(2, /*wear_divisor=*/3);
+  WearTracker a(2, 3), b(2, 3);
+  const std::uint32_t sixth = serial.quanta(kResetOnlyWearPerCell) / 3;
+  for (int i = 0; i < 1000; ++i) {
+    const RowKey row = static_cast<RowKey>(i % 7);
+    serial.add(serial.rows().get(row), i % 2, sixth);
+    WearTracker& part = row < 3 ? a : b;
+    part.add(part.rows().get(row), i % 2, sixth);
+  }
+  a.merge_from(b);
+  EXPECT_EQ(serial.total_wear(), a.total_wear());
+  EXPECT_EQ(serial.mean_line_wear(), a.mean_line_wear());
+  EXPECT_EQ(serial.max_line_wear(), a.max_line_wear());
+  // 1000 / 6 cycles, correctly rounded once.
+  EXPECT_EQ(serial.total_wear(), 1000.0 / 6.0);
 }
 
 }  // namespace

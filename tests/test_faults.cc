@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 
+#include "arch/arch.h"
 #include "controller/remap_table.h"
 #include "pcm/fault_model.h"
 #include "result_compare.h"
@@ -274,6 +275,54 @@ TEST(FaultInjection, WcpcmRetiresDeadCacheRowsAndBypasses) {
   EXPECT_GT(r.stats.counters.get("wcpcm.bypass_writes"), 0u);
   EXPECT_GE(r.stats.counters.get("wcpcm.bypass_writes"),
             r.stats.counters.get("wcpcm.dead_rows"));
+}
+
+TEST(FaultInjection, RemappedWriteStateLivesAtTheSpare) {
+  // One line worn to death by hand: with sigma 0 every line's budget is
+  // the median (2 cycles; dead at 1.5x), one verify retry per faulty
+  // write. The write that kills row 3 is retired to bank 0's first spare
+  // (row 33), and its generation and wear must land on the spare's record,
+  // not on the record the write located before the fault pipeline ran.
+  MemoryGeometry geom;
+  geom.channels = 1;
+  geom.ranks = 1;
+  geom.banks_per_rank = 1;
+  geom.rows_per_bank = 32;
+  geom.cols_per_row = 64;
+  ArchConfig cfg;
+  cfg.kind = ArchKind::kWomPcm;  // rs23-inv: t = 2
+  FaultConfig fault;
+  fault.enabled = true;
+  fault.endurance = 2.0;
+  fault.sigma = 0.0;
+  fault.max_retries = 1;
+  fault.spare_rows = 2;
+  const auto arch = make_architecture(cfg, geom, PcmTiming{}, fault);
+  const DecodedAddr d{0, 0, 0, 3, 0};
+  // Bank 0's row keys are its physical rows; the first spare follows the
+  // logical rows and the Start-Gap spare.
+  const RowKey old_key = 3;
+  const RowKey spare_key = geom.rows_per_bank + 1;
+
+  // Wear before each write: 0, 1, 1.5 (healthy), 2.5 (degraded: the fast
+  // write is demoted and retried once), 4.5 (dead: retried, then retired).
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(arch->plan(d, AccessType::kWrite, false, 0).row, 3u) << i;
+  }
+  const IssuePlan killed = arch->plan(d, AccessType::kWrite, false, 0);
+  ASSERT_EQ(killed.row, spare_key);
+  EXPECT_EQ(killed.write_class, WriteClass::kAlpha);
+  // The dead row keeps the wear it took up to and including the retry; the
+  // write's own alpha wear is charged to the spare's cells.
+  EXPECT_EQ(arch->wear().line_wear(old_key, 0), 5.5);
+  EXPECT_EQ(arch->wear().line_wear(spare_key, 0), kAlphaWearPerCell);
+  // The spare's generation started there (a fresh alpha, generation 1), so
+  // the next write to the line is RESET-only on the healthy spare.
+  const IssuePlan next = arch->plan(d, AccessType::kWrite, false, 0);
+  EXPECT_EQ(next.row, spare_key);
+  EXPECT_EQ(next.write_class, WriteClass::kResetOnly);
+  EXPECT_EQ(arch->wear().line_wear(spare_key, 0),
+            kAlphaWearPerCell + kResetOnlyWearPerCell);
 }
 
 TEST(FaultInjection, DegradationCostsLatency) {

@@ -20,6 +20,7 @@
 
 #include "common/address.h"
 #include "result_compare.h"
+#include "sim/config_io.h"
 #include "sim/experiment.h"
 #include "sim/run.h"
 #include "sim/service.h"
@@ -138,6 +139,22 @@ TEST(ShardedEquivalence, FaultInjectionOn) {
   const SimResult r = run_jobs(cfg, trace, 42, 2);
   EXPECT_GT(r.fault_injected, 0u);
   EXPECT_GT(r.fault_retries, 0u);
+}
+
+TEST(ShardedEquivalence, NonDyadicWearBoundCodes) {
+  // A time-space constrained code with R replicas charges 1/R of the
+  // per-cell wear rates per write. For R in {3, 5, 7} those increments are
+  // not dyadic, so wear summed per channel and then merged equals the
+  // serial interleaved sum only because wear is counted in exact integer
+  // quanta (pcm/endurance.h).
+  for (const char* code :
+       {"tsc-rs23x3-inv", "tsc-rs23x5-inv", "tsc-rs23x7-inv"}) {
+    SCOPED_TRACE(code);
+    SimConfig cfg = load_config_file(
+        paper_config(), WOMPCM_REPO_DIR "/configs/ts_constrained.cfg");
+    cfg.arch.main_code = code;
+    check(cfg, TraceSpec::benchmark("470.lbm", kAccesses), 3);
+  }
 }
 
 TEST(ShardedEquivalence, SerialFallbackSingleChannel) {

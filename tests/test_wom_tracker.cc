@@ -9,7 +9,6 @@ namespace {
 TEST(WomStateTracker, UnknownLinesStartAlpha) {
   WomStateTracker t(2, 8);
   EXPECT_EQ(t.generation(5, 3), WomStateTracker::kUnknownGen);
-  EXPECT_EQ(t.peek_write(5, 3), WriteClass::kAlpha);
   const auto r = t.record_write(5, 3);
   EXPECT_EQ(r.cls, WriteClass::kAlpha);
   EXPECT_TRUE(r.cold);
@@ -20,7 +19,6 @@ TEST(WomStateTracker, UnknownLinesStartAlpha) {
 TEST(WomStateTracker, ErasedStartSkipsColdAlpha) {
   WomStateTracker t(2, 8, /*erased_start=*/true);
   EXPECT_EQ(t.generation(5, 3), 0u);
-  EXPECT_EQ(t.peek_write(5, 3), WriteClass::kResetOnly);
   const auto r = t.record_write(5, 3);
   EXPECT_EQ(r.cls, WriteClass::kResetOnly);
   EXPECT_FALSE(r.cold);
@@ -73,13 +71,18 @@ TEST(WomStateTracker, RefreshErasesWholeRow) {
   EXPECT_EQ(t.generation(3, 2), 0u);  // never-written lines also erased
   // Next writes to any line of the row are fast.
   EXPECT_EQ(t.record_write(3, 2).cls, WriteClass::kResetOnly);
-  EXPECT_EQ(t.refreshes(), 1u);
+  EXPECT_EQ(t.generation(3, 2), 1u);
 }
 
 TEST(WomStateTracker, RefreshOnUntrackedRowIsNoop) {
-  WomStateTracker t(2, 4);
+  RowTable rows(4);
+  WomStateTracker t(2, rows);
   EXPECT_FALSE(t.refresh(77));
-  EXPECT_EQ(t.refreshes(), 0u);
+  // No record appears and the row is not erased: its first write is still
+  // the cold alpha.
+  EXPECT_EQ(rows.size(), 0u);
+  EXPECT_EQ(t.generation(77, 0), WomStateTracker::kUnknownGen);
+  EXPECT_TRUE(t.record_write(77, 0).cold);
 }
 
 TEST(WomStateTracker, RefreshWithoutLimitLinesReportsUseless) {
@@ -120,12 +123,13 @@ INSTANTIATE_TEST_SUITE_P(Limits, TrackerLimitSweep,
                          ::testing::Values(1u, 2u, 3u, 4u, 8u));
 
 TEST(WomStateTracker, TrackedRowsGrowLazily) {
-  WomStateTracker t(2, 16);
-  EXPECT_EQ(t.tracked_rows(), 0u);
+  RowTable rows(16);
+  WomStateTracker t(2, rows);
+  EXPECT_EQ(rows.size(), 0u);
   t.record_write(1, 0);
   t.record_write(2, 0);
   t.record_write(1, 5);
-  EXPECT_EQ(t.tracked_rows(), 2u);
+  EXPECT_EQ(rows.size(), 2u);
 }
 
 }  // namespace
